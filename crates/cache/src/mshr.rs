@@ -1,8 +1,6 @@
 //! Miss Status Holding Registers with primary/secondary miss merging.
 
-use std::collections::HashMap;
-
-use nuba_types::LineAddr;
+use nuba_types::{IntMap, LineAddr};
 
 /// Outcome of trying to allocate an MSHR for a missing line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +23,7 @@ pub enum MshrOutcome {
 /// the original request so the reply can be routed).
 #[derive(Debug, Clone)]
 pub struct MshrFile<W> {
-    entries: HashMap<LineAddr, Vec<W>>,
+    entries: IntMap<LineAddr, Vec<W>>,
     max_entries: usize,
     max_merges: usize,
     peak_occupancy: usize,
@@ -47,7 +45,7 @@ impl<W> MshrFile<W> {
             "mshr limits must be non-zero"
         );
         MshrFile {
-            entries: HashMap::with_capacity(max_entries),
+            entries: IntMap::with_capacity_and_hasher(max_entries, Default::default()),
             max_entries,
             max_merges,
             peak_occupancy: 0,

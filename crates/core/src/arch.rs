@@ -113,21 +113,18 @@ impl Topology {
 
     /// For NUBA: the slice in `sm`'s partition that holds replicas of
     /// (and forwards requests for) `d`'s line — identical to the first
-    /// hop by construction.
+    /// hop by construction. Meaningful on NUBA topologies only; the
+    /// simulator asserts that pairing once, where it builds the local
+    /// links whose stages call this.
     pub fn local_slice(&self, sm: SmId, d: &DecodedAddr) -> SliceId {
-        nuba_types::invariant!("arch_local_slice_nuba_only", self.arch.is_nuba());
         self.first_hop_slice(sm, d)
     }
 
     /// SM-side UBA: whether channel `ch` sits in the other LLC half than
     /// `slice` (the access must cross the inter-partition link).
+    /// Meaningful on SM-side UBA only, asserted once where the simulator
+    /// builds the cross-half links.
     pub fn crosses_half(&self, slice: SliceId, ch: ChannelId) -> bool {
-        nuba_types::invariant!(
-            "arch_crosses_half_smside_only",
-            self.arch == ArchKind::SmSideUba,
-            "{:?}",
-            self.arch
-        );
         let slice_half = slice.0 / (self.num_slices / 2);
         let ch_half = ch.0 / (self.num_channels / 2);
         slice_half != ch_half

@@ -2,8 +2,6 @@
 //! links and memory controllers assembled per architecture (paper
 //! Figs. 1, 4, 5, 15), stepped cycle by cycle.
 
-use std::collections::HashMap;
-
 use nuba_cache::CacheGeometry;
 use nuba_dram::{DramRequest, HbmTiming, MemoryController};
 use nuba_driver::{GpuDriver, MigrationConfig, PageAccessTracker};
@@ -13,7 +11,7 @@ use nuba_tlb::{TlbParams, TranslationEngine, TranslationOutcome};
 use nuba_types::addr::PageNum;
 use nuba_types::mapping::AddressMapping;
 use nuba_types::{
-    AccessKind, ArchKind, GpuConfig, LineAddr, MemReply, MemRequest, PagePolicyKind,
+    AccessKind, ArchKind, GpuConfig, IntMap, LineAddr, MemReply, MemRequest, PagePolicyKind,
     ReplicationKind, ReqId, SliceId, SmId, Wire,
 };
 use nuba_workloads::Workload;
@@ -60,7 +58,7 @@ impl Wire for HalfPkt {
 
 struct McState {
     mc: MemoryController,
-    pending_fills: HashMap<u64, (SliceId, LineAddr)>,
+    pending_fills: IntMap<u64, (SliceId, LineAddr)>,
     next_id: u64,
 }
 
@@ -237,7 +235,7 @@ impl GpuSimulator {
                     cfg.mc_queue_entries,
                     mem_burst_cycles.max(1),
                 ),
-                pending_fills: HashMap::new(),
+                pending_fills: IntMap::default(),
                 next_id: 0,
             })
             .collect();
@@ -292,6 +290,23 @@ impl GpuSimulator {
         } else {
             None
         };
+
+        // `Topology::local_slice` and `crosses_half` each answer for
+        // one architecture, and only the stages these links switch on
+        // call them: the pairing is a fact about this machine, checked
+        // here once rather than on every request routed. Plain asserts,
+        // not registry sites — `restore` constructs again, and a counted
+        // site here would read one higher after every resume.
+        assert_eq!(
+            local_req.is_some(),
+            topo.arch().is_nuba(),
+            "local links exist exactly on NUBA topologies"
+        );
+        assert_eq!(
+            half_links.is_some(),
+            topo.arch() == ArchKind::SmSideUba,
+            "cross-half links exist exactly on SM-side UBA topologies"
+        );
 
         let modules = topo.num_modules();
         let gw_bw = cfg.mcm.inter_module_bytes_per_cycle;
@@ -1186,8 +1201,11 @@ impl GpuSimulator {
                     break;
                 };
                 let vpage = access.vaddr.page(page_bytes);
-                let mapped = self.driver.table().is_mapped(vpage);
-                match self.mmu.request(sm_id, vpage, c, mapped) {
+                let table = self.driver.table();
+                match self
+                    .mmu
+                    .request_with(sm_id, vpage, c, || table.is_mapped(vpage))
+                {
                     TranslationOutcome::Pending => {
                         self.sms[i].block_translation(warp, vpage.0);
                         continue;

@@ -1,10 +1,8 @@
 //! The GPU page table: virtual page → (channel, frame) mappings plus
 //! the per-page sharing metadata the driver and the experiments use.
 
-use std::collections::HashMap;
-
 use nuba_types::addr::PageNum;
-use nuba_types::{ChannelId, PartitionId, SmId};
+use nuba_types::{ChannelId, IntMap, PartitionId, SmId};
 
 /// A virtual-to-physical mapping: the memory channel that homes the page
 /// and the page-frame index within that channel.
@@ -47,7 +45,7 @@ impl PageEntry {
 /// The driver's page table plus per-channel frame allocators.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    entries: HashMap<PageNum, PageEntry>,
+    entries: IntMap<PageNum, PageEntry>,
     next_frame: Vec<u64>,
 }
 
@@ -55,7 +53,7 @@ impl PageTable {
     /// An empty table over `num_channels` channels.
     pub fn new(num_channels: usize) -> PageTable {
         PageTable {
-            entries: HashMap::new(),
+            entries: IntMap::default(),
             next_frame: vec![0; num_channels],
         }
     }
@@ -111,8 +109,20 @@ impl PageTable {
     }
 
     /// Claim the next frame in `channel` (also used for replicas and
-    /// migrations).
+    /// migrations). Every [`Translation`] is made here, so this is where
+    /// its channel is checked — once per mapping, not on each access
+    /// that later composes an address from it.
+    ///
+    /// # Panics
+    /// Panics if `channel` is out of range.
     pub fn claim_frame(&mut self, channel: ChannelId) -> u64 {
+        nuba_types::invariant!(
+            "mapping_channel_in_range",
+            channel.0 < self.next_frame.len(),
+            "channel {} of {}",
+            channel.0,
+            self.next_frame.len()
+        );
         let f = &mut self.next_frame[channel.0];
         let frame = *f;
         *f += 1;

@@ -1,10 +1,10 @@
 //! The two-level translation engine: L1 TLBs, shared L2 TLB, walker pool
 //! and page-fault path.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use nuba_types::addr::PageNum;
-use nuba_types::SmId;
+use nuba_types::{IntMap, SmId};
 
 use crate::tlb::Tlb;
 
@@ -112,7 +112,7 @@ pub struct TranslationEngine {
     params: TlbParams,
     l1: Vec<Tlb>,
     l2: Tlb,
-    outstanding: HashMap<PageNum, Outstanding>,
+    outstanding: IntMap<PageNum, Outstanding>,
     /// FIFO of pages waiting for an L2 port.
     l2_queue: VecDeque<PageNum>,
     /// FIFO of pages waiting for a walker.
@@ -126,9 +126,9 @@ pub struct TranslationEngine {
     stats: TlbStats,
     /// Reusable scratch for the pages whose L2 access / walk finishes
     /// this cycle: avoids a per-cycle allocation and — because it is
-    /// sorted — makes completion order independent of `HashMap`
-    /// iteration order (which varies per process and would leak into
-    /// fault handling and LRU state).
+    /// sorted — makes completion order independent of hash-map
+    /// iteration order (which follows capacity and insertion history,
+    /// not the pages, and would leak into fault handling and LRU state).
     ready: Vec<PageNum>,
     /// Free list recycling the per-page waiter vectors.
     waiter_pool: Vec<Vec<SmId>>,
@@ -147,7 +147,7 @@ impl TranslationEngine {
                 .map(|_| Tlb::new(params.l1_entries, params.l1_ways.min(params.l1_entries)))
                 .collect(),
             l2: Tlb::new(params.l2_entries, params.l2_ways),
-            outstanding: HashMap::new(),
+            outstanding: IntMap::default(),
             l2_queue: VecDeque::new(),
             walk_queue: VecDeque::new(),
             active_walks: 0,
@@ -167,8 +167,24 @@ impl TranslationEngine {
         &mut self,
         sm: SmId,
         vpage: PageNum,
-        _now: u64,
+        now: u64,
         mapped: bool,
+    ) -> TranslationOutcome {
+        self.request_with(sm, vpage, now, || mapped)
+    }
+
+    /// [`request`](TranslationEngine::request) for a caller that has to
+    /// look `mapped` up: the engine only needs it when this request
+    /// opens a new outstanding translation (an L1-TLB miss no earlier
+    /// miss on the page is still resolving), so it asks only then. The
+    /// simulator's issue loop hits the L1 TLB on nearly every poll and
+    /// skips the page-table lookup entirely.
+    pub fn request_with(
+        &mut self,
+        sm: SmId,
+        vpage: PageNum,
+        _now: u64,
+        mapped: impl FnOnce() -> bool,
     ) -> TranslationOutcome {
         if self.l1[sm.0].lookup(vpage) {
             self.stats.l1_hits += 1;
@@ -185,7 +201,7 @@ impl TranslationEngine {
             vpage,
             Outstanding {
                 waiters,
-                mapped,
+                mapped: mapped(),
                 stage: Stage::L2Queued,
             },
         );
@@ -204,10 +220,10 @@ impl TranslationEngine {
         }
 
         // Finish L2 accesses and walks. The ready set is collected into
-        // a reusable scratch vector and sorted: `HashMap` iteration
-        // order differs between engine instances, and completion order
-        // feeds fault handling (page placement) and L2 LRU state, so it
-        // must be deterministic.
+        // a reusable scratch vector and sorted: hash-map iteration
+        // order differs between a fresh engine and a restored one, and
+        // completion order feeds fault handling (page placement) and L2
+        // LRU state, so it must be deterministic.
         let mut ready = std::mem::take(&mut self.ready);
         ready.extend(self.outstanding.iter().filter_map(|(&p, o)| match o.stage {
             Stage::L2Access { done_at } | Stage::Walking { done_at } if done_at <= now => Some(p),

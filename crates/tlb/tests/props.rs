@@ -59,6 +59,62 @@ proptest! {
         );
     }
 
+    /// `request_with` (the page table is consulted only when a miss
+    /// opens a new outstanding translation) is `request` with the
+    /// answer deferred: over a random request/tick schedule, unmapped
+    /// (faulting) pages included, both engines give the same outcomes,
+    /// the same completions on the same cycles, the same counters and
+    /// the same serialized state — and the lazy side asks exactly once
+    /// per translation it opens, never on an L1 hit or a merge.
+    #[test]
+    fn lazy_mapped_lookup_matches_eager(
+        reqs in proptest::collection::vec(
+            (0usize..4, 0u64..24, any::<bool>(), 0u64..40), 1..60),
+        walkers in 1usize..4,
+    ) {
+        use nuba_types::state::{SaveState, StateWriter};
+        let params = TlbParams {
+            l1_entries: 8,
+            l1_ways: 2,
+            l2_entries: 32,
+            l2_ways: 4,
+            walkers,
+            fault_latency: 50,
+            ..TlbParams::paper()
+        };
+        let mut eager = TranslationEngine::new(params, 4);
+        let mut lazy = TranslationEngine::new(params, 4);
+        let (mut eager_done, mut lazy_done) = (Vec::new(), Vec::new());
+        let (mut asked, mut opened) = (0usize, 0usize);
+        let mut now = 0u64;
+        for (sm, vpage, mapped, gap) in reqs.iter().copied() {
+            let before = lazy.outstanding();
+            let a = eager.request(SmId(sm), PageNum(vpage), now, mapped);
+            let b = lazy.request_with(SmId(sm), PageNum(vpage), now, || {
+                asked += 1;
+                mapped
+            });
+            prop_assert_eq!(a, b, "outcome at cycle {}", now);
+            opened += lazy.outstanding() - before;
+            for _ in 0..=gap {
+                eager.tick(now, &mut eager_done);
+                lazy.tick(now, &mut lazy_done);
+                prop_assert_eq!(&eager_done, &lazy_done, "completions at cycle {}", now);
+                eager_done.clear();
+                lazy_done.clear();
+                now += 1;
+            }
+        }
+        prop_assert_eq!(asked, opened, "mapped() is asked once per translation opened");
+        prop_assert_eq!(eager.stats(), lazy.stats());
+        let bytes = |mmu: &TranslationEngine| {
+            let mut w = StateWriter::new();
+            mmu.save(&mut w);
+            w.into_bytes()
+        };
+        prop_assert_eq!(bytes(&eager), bytes(&lazy));
+    }
+
     /// `next_event_cycle` agrees with a step-until-change oracle across
     /// random arrival schedules mixing L1/L2 hits, walks, and faults:
     /// any cycle whose tick mutates engine state or completes a

@@ -40,20 +40,21 @@ pub struct LineAddr(pub u64);
 pub struct PageNum(pub u64);
 
 impl VirtAddr {
-    /// The virtual page containing this address for a given page size.
+    /// The virtual page containing this address for a given page size,
+    /// which must be a power of two ([`GpuConfig::validate`] rejects
+    /// any other with a typed error, so the per-access path does not
+    /// re-prove it).
     ///
-    /// # Panics
-    /// Panics in debug builds if `page_bytes` is not a power of two.
+    /// [`GpuConfig::validate`]: crate::GpuConfig::validate
     #[inline]
     pub fn page(self, page_bytes: u64) -> PageNum {
-        crate::invariant!("addr_page_size_pow2", page_bytes.is_power_of_two());
         PageNum(self.0 >> page_bytes.trailing_zeros())
     }
 
-    /// Byte offset within the page for a given page size.
+    /// Byte offset within the page for a given (power-of-two) page
+    /// size; always below `page_bytes`.
     #[inline]
     pub fn page_offset(self, page_bytes: u64) -> u64 {
-        crate::invariant!("addr_page_size_pow2", page_bytes.is_power_of_two());
         self.0 & (page_bytes - 1)
     }
 

@@ -12,10 +12,20 @@
 //! --bin simcheck`) runs every architecture configuration and fails on
 //! any nonzero violation count.
 //!
-//! Counting uses two relaxed atomic increments per check — cheap enough
-//! for per-cycle paths — and call sites self-register into the global
-//! list on first evaluation, so the registry only ever locks a mutex on
-//! that first hit and when reporting.
+//! A passing check costs a load (is the site registered?) and a plain
+//! load-add-store of its tally: no locked read-modify-write. That is
+//! deliberate. The first version used `fetch_add`, and on the dense
+//! 64-SM machine a quarter of all host time went into it (≈1 840 locked
+//! operations per simulated cycle, most from checks that re-proved a
+//! configuration constant on every warp poll). So: the `checks` tally
+//! is exact wherever one thread simulates — every test and gate that
+//! compares it — and may undercount when matrix workers share a site;
+//! `violations`, which gates read, stay a locked increment and are never
+//! lost. And a property fixed when a value is *made* (a page size, a
+//! topology) is checked there, once, not where the value is used: keep
+//! per-event sites for per-event facts. Call sites self-register into
+//! the global list on first evaluation, so the registry only locks a
+//! mutex on that first hit and when reporting.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -54,7 +64,24 @@ impl Site {
     /// Record one evaluation of the invariant; returns `ok` so the
     /// macros can chain onto the panic path. Registers the site into
     /// the global registry on first use.
+    #[inline]
     pub fn record(&'static self, ok: bool) -> bool {
+        if !self.registered.load(Ordering::Relaxed) {
+            self.register();
+        }
+        // Not a `fetch_add`: see the module docs for what that cost.
+        let n = self.checks.load(Ordering::Relaxed);
+        self.checks.store(n.wrapping_add(1), Ordering::Relaxed);
+        if !ok {
+            self.violations.fetch_add(1, Ordering::Relaxed);
+        }
+        ok
+    }
+
+    /// First evaluation: list the site and pick up any parked seed. The
+    /// swap elects one registrant when threads race here.
+    #[cold]
+    fn register(&'static self) {
         if !self.registered.swap(true, Ordering::Relaxed) {
             registry()
                 .lock()
@@ -62,11 +89,6 @@ impl Site {
                 .push(self);
             apply_pending(self);
         }
-        self.checks.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.violations.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
     }
 }
 
@@ -276,18 +298,35 @@ impl crate::state::StateValue for SiteSeed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Barrier, MutexGuard};
+
+    /// The registry is process-global and `reset`/`restore_counts` touch
+    /// every site, so tests that read counts take turns.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        // A `should_panic` test poisons the lock; the `()` inside cannot
+        // be left inconsistent.
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn site(name: &str) -> SiteReport {
+        report()
+            .into_iter()
+            .find(|s| s.name == name)
+            .expect("site registered")
+    }
 
     #[test]
-    fn counts_checks_and_registers_once() {
-        for i in 0..10 {
-            invariant!("test_counts_checks", i < 10);
+    fn tally_is_exact_on_one_thread_and_registers_once() {
+        let _turn = serial();
+        for i in 0..10_000 {
+            invariant!("test_counts_checks", i < 10_000);
         }
-        let rep = report();
-        let site = rep.iter().find(|s| s.name == "test_counts_checks").unwrap();
-        assert_eq!(site.checks, 10);
-        assert_eq!(site.violations, 0);
+        assert_eq!(site("test_counts_checks").checks, 10_000);
+        assert_eq!(site("test_counts_checks").violations, 0);
         assert_eq!(
-            rep.iter()
+            report()
+                .iter()
                 .filter(|s| s.name == "test_counts_checks")
                 .count(),
             1,
@@ -295,38 +334,80 @@ mod tests {
         );
     }
 
+    /// Violations are what gates read: two threads failing the same
+    /// site at once (the barrier puts them there together) lose none,
+    /// even though the passing tally may.
+    #[test]
+    fn concurrent_violations_are_all_counted() {
+        const PER_THREAD: u64 = 50_000;
+        static SITE: Site = Site::new("test_concurrent_violations", file!(), line!());
+        let _turn = serial();
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..2 * PER_THREAD {
+                        // `record`, not `invariant!`: the macro panics
+                        // on a violation in debug builds.
+                        SITE.record(i % 2 == 0);
+                    }
+                });
+            }
+        });
+        let seen = site("test_concurrent_violations");
+        assert_eq!(seen.violations, 2 * PER_THREAD);
+        assert!(seen.checks <= 4 * PER_THREAD);
+        assert!(total_violations() >= 2 * PER_THREAD);
+    }
+
+    /// A checkpoint's seeds land on sites that already ran and are
+    /// parked for ones that have not, so the resumed tally continues
+    /// where the snapshot stopped.
+    #[test]
+    fn restore_counts_round_trips_through_report() {
+        static EARLY: Site = Site::new("test_restore_early", file!(), 1);
+        static LATE: Site = Site::new("test_restore_late", file!(), 2);
+        let seed = |site: &Site, checks| SiteSeed {
+            name: site.name.to_string(),
+            file: site.file.to_string(),
+            line: site.line,
+            checks,
+            violations: 0,
+        };
+        let _turn = serial();
+        EARLY.record(true);
+        restore_counts(&[seed(&EARLY, 41), seed(&LATE, 7)]);
+        assert_eq!(site("test_restore_early").checks, 41);
+        EARLY.record(true);
+        assert_eq!(site("test_restore_early").checks, 42);
+        // First evaluation after the restore: the parked seed applies,
+        // then this check counts on top of it.
+        LATE.record(true);
+        assert_eq!(site("test_restore_late").checks, 8);
+    }
+
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "invariant violated"))]
     fn violation_panics_in_debug() {
+        let _turn = serial();
         invariant!("test_violation_panics", 1 + 1 == 3, "math broke: {}", 42);
         // Release builds fall through and count instead.
         #[cfg(not(debug_assertions))]
         {
-            let rep = report();
-            let site = rep
-                .iter()
-                .find(|s| s.name == "test_violation_panics")
-                .unwrap();
-            assert_eq!(site.violations, 1);
+            assert_eq!(site("test_violation_panics").violations, 1);
         }
     }
 
     #[test]
     fn conserved_quantities_compare_u64() {
+        let _turn = serial();
         let inj: u64 = 7;
         let ej: u64 = 7;
-        check_conserved!("test_conserved_ok", inj, ej);
-        let rep = report();
-        let site = rep.iter().find(|s| s.name == "test_conserved_ok").unwrap();
-        assert_eq!((site.checks, site.violations), (1, 0));
-    }
-
-    #[test]
-    fn total_violations_sums_sites() {
-        // Uses its own names; other tests may run in parallel, so only
-        // assert on this test's own sites via report().
-        invariant!("test_total_a", true);
-        assert!(report().iter().any(|s| s.name == "test_total_a"));
-        let _ = total_violations(); // must not deadlock or panic
+        for _ in 0..3 {
+            check_conserved!("test_conserved_ok", inj, ej);
+        }
+        let seen = site("test_conserved_ok");
+        assert_eq!((seen.checks, seen.violations), (3, 0));
     }
 }

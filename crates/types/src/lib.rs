@@ -26,6 +26,7 @@
 pub mod addr;
 pub mod config;
 pub mod fidelity;
+pub mod hash;
 pub mod ids;
 pub mod invariant;
 pub mod mapping;
@@ -40,6 +41,7 @@ pub use config::{
     TelemetryConfig,
 };
 pub use fidelity::{ErrorBound, Fidelity, ParseFidelityError, DEFAULT_SAMPLE_INTERVALS};
+pub use hash::IntMap;
 pub use ids::{ChannelId, ModuleId, PartitionId, SliceId, SmId, WarpId};
 pub use mapping::{AddressMapping, DecodedAddr, MappingKind};
 pub use metrics::{Histogram, LatencySummary, MetricsRegistry, HISTOGRAM_BUCKETS};

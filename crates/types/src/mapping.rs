@@ -119,20 +119,13 @@ impl AddressMapping {
     /// This is the GPU driver's view: allocating frame `frame` of channel
     /// `channel` yields addresses whose channel bits decode back to
     /// `channel` under [`MappingKind::FixedChannel`].
+    ///
+    /// The fields are packed, not checked: `channel` must be one the
+    /// page table handed out (it checks the range where it claims the
+    /// frame, `mapping_channel_in_range`) and `offset` a
+    /// [`VirtAddr::page_offset`](crate::VirtAddr::page_offset), which is
+    /// below the page size by construction.
     pub fn compose(&self, channel: ChannelId, frame: u64, offset: u64) -> PhysAddr {
-        crate::invariant!(
-            "mapping_channel_in_range",
-            channel.0 < self.num_channels,
-            "channel {} of {}",
-            channel.0,
-            self.num_channels
-        );
-        crate::invariant!(
-            "mapping_offset_in_page",
-            offset < (1u64 << self.page_shift),
-            "offset {offset:#x} with page_shift {}",
-            self.page_shift
-        );
         let raw = offset
             | ((channel.0 as u64) << self.page_shift)
             | (frame << (self.page_shift + self.channel_bits));

@@ -27,7 +27,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// Version of the checkpoint wire format. Bump on any layout change so
 /// stale checkpoints are rejected instead of misread.
@@ -622,7 +622,7 @@ pub fn restore_items<T: SaveState>(
 
 /// Serialize a hash map **sorted by key** so identical machines produce
 /// byte-identical checkpoints regardless of hash-map iteration order.
-pub fn save_map<K, V>(w: &mut StateWriter, map: &HashMap<K, V>)
+pub fn save_map<K, V, S>(w: &mut StateWriter, map: &HashMap<K, V, S>)
 where
     K: StateValue + Ord,
     V: StateValue,
@@ -640,18 +640,29 @@ where
 /// pre-sized map keeps its capacity).
 ///
 /// # Errors
-/// Any decode error from keys or values.
-pub fn restore_map<K, V>(r: &mut StateReader<'_>, map: &mut HashMap<K, V>) -> Result<(), StateError>
+/// Any decode error from keys or values; [`StateError::Corrupt`] when
+/// the keys are not strictly ascending, as [`save_map`] always writes
+/// them — a repeated key would otherwise overwrite its predecessor and
+/// hand back a smaller map than the section claims.
+pub fn restore_map<K, V, S>(
+    r: &mut StateReader<'_>,
+    map: &mut HashMap<K, V, S>,
+) -> Result<(), StateError>
 where
-    K: StateValue + Eq + Hash,
+    K: StateValue + Ord + Hash + Copy,
     V: StateValue,
+    S: BuildHasher,
 {
     let n = usize::get(r)?;
     map.clear();
+    let mut prev: Option<K> = None;
     for _ in 0..n {
         let k = K::get(r)?;
-        let v = V::get(r)?;
-        map.insert(k, v);
+        if prev.is_some_and(|p| k <= p) {
+            return Err(StateError::Corrupt("map keys not strictly ascending"));
+        }
+        prev = Some(k);
+        map.insert(k, V::get(r)?);
     }
     Ok(())
 }
@@ -707,6 +718,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::IntMap;
     use crate::packet::{AccessKind, MemRequest, ReqId};
     use crate::{PhysAddr, SmId, VirtAddr, WarpId};
 
@@ -745,14 +757,18 @@ mod tests {
         assert_eq!(<VecDeque<u32> as StateValue>::get(&mut r).unwrap(), d);
     }
 
+    /// The cycle-path maps are [`IntMap`]s: whatever order (and so
+    /// whatever bucket layout) a map was filled in, it serializes to the
+    /// same bytes and restores equal.
     #[test]
     fn maps_serialize_sorted() {
-        let mut a = HashMap::new();
-        let mut b = HashMap::new();
-        for k in [9u64, 2, 5, 7] {
+        let keys: Vec<u64> = (0..500u64).map(|i| (i * 0x9e37) % 4093 * 128).collect();
+        let mut a: IntMap<u64, u64> = IntMap::default();
+        let mut b: IntMap<u64, u64> = IntMap::with_capacity_and_hasher(4096, Default::default());
+        for &k in &keys {
             a.insert(k, k * 10);
         }
-        for k in [7u64, 5, 2, 9] {
+        for &k in keys.iter().rev() {
             b.insert(k, k * 10);
         }
         let (mut wa, mut wb) = (StateWriter::new(), StateWriter::new());
@@ -761,9 +777,36 @@ mod tests {
         assert_eq!(wa.bytes(), wb.bytes(), "insertion order must not leak");
         let bytes = wa.into_bytes();
         let mut r = StateReader::new(&bytes);
-        let mut back = HashMap::new();
+        let mut back: IntMap<u64, u64> = IntMap::default();
         restore_map(&mut r, &mut back).unwrap();
         assert_eq!(back, a);
+        assert_eq!(back, b);
+    }
+
+    #[test]
+    fn restore_map_rejects_repeated_and_unsorted_keys() {
+        let section = |pairs: &[(u64, u64)]| {
+            let mut w = StateWriter::new();
+            w.put_u64(pairs.len() as u64);
+            for (k, v) in pairs {
+                k.put(&mut w);
+                v.put(&mut w);
+            }
+            w.into_bytes()
+        };
+        let mut got: IntMap<u64, u64> = IntMap::default();
+        let ok = section(&[(1, 10), (2, 20), (3, 30)]);
+        restore_map(&mut StateReader::new(&ok), &mut got).unwrap();
+        assert_eq!(got.len(), 3);
+        for bad in [
+            section(&[(1, 10), (2, 20), (2, 99)]),
+            section(&[(1, 10), (3, 30), (2, 20)]),
+        ] {
+            assert_eq!(
+                restore_map(&mut StateReader::new(&bad), &mut got),
+                Err(StateError::Corrupt("map keys not strictly ascending"))
+            );
+        }
     }
 
     #[test]

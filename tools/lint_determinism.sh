@@ -7,9 +7,13 @@
 # fixes: simulation results that depend on hasher seed or insertion
 # history. Simulator state must iterate in a deterministic order
 # (BTreeMap, sorted scratch vectors, or explicit ordering).
+# nuba_types::IntMap (HashMap over the fixed-seed integer hasher) drops
+# the per-process seed but still iterates by capacity and insertion
+# history — a restored map and the one it was saved from differ — so it
+# is linted exactly like HashMap.
 #
-# Mechanics: for each file in the simulator crates that declares a
-# HashMap/HashSet, collect the declared variable/field names, then flag
+# Mechanics: for each file in the simulator crates that declares one of
+# those containers, collect the declared variable/field names, then flag
 # lines that iterate those names (`.iter()`, `.keys()`, `.values()`,
 # `.drain()`, `.retain()`, `.into_iter()`, `for … in &name`). Known-safe
 # sites (order-independent folds, lines that sort immediately after)
@@ -22,6 +26,9 @@ cd "$(dirname "$0")/.."
 
 CRATES="types engine core noc dram tlb driver cache workloads bench"
 ALLOWLIST=tools/determinism_allowlist.txt
+
+# Type names that mean "unordered hash container".
+MAPS='(Hash(Map|Set)|IntMap)'
 
 ITER_METHODS='(iter|iter_mut|keys|values|values_mut|drain|into_iter|into_keys|into_values|retain|extend)'
 
@@ -36,9 +43,9 @@ for crate in $CRATES; do
         # typed lets (`name: HashMap<…>`), plus inferred lets
         # (`let [mut] name = HashMap::…`).
         names=$( {
-            grep -oE '[a-z_][a-z0-9_]*[[:space:]]*:[[:space:]]*(std::collections::)?Hash(Map|Set)<' "$f" \
+            grep -oE "[a-z_][a-z0-9_]*[[:space:]]*:[[:space:]]*([a-z_]+::)*${MAPS}<" "$f" \
                 | sed -E 's/[[:space:]]*:.*//' || true
-            grep -oE 'let (mut )?[a-z_][a-z0-9_]*([[:space:]]*:[^=]*)?=[[:space:]]*(std::collections::)?Hash(Map|Set)::' "$f" \
+            grep -oE "let (mut )?[a-z_][a-z0-9_]*([[:space:]]*:[^=]*)?=[[:space:]]*([a-z_]+::)*${MAPS}::" "$f" \
                 | sed -E 's/^let (mut )?//; s/[[:space:]]*(:[^=]*)?=.*//' || true
         } | sort -u )
         [ -n "$names" ] || continue
@@ -49,7 +56,7 @@ for crate in $CRATES; do
                     printf '%s:%s\n' "$f" "$content" >> "$hits_file"
                 done
         done
-    done < <(grep -rlE 'Hash(Map|Set)<' "$dir" --include='*.rs' || true)
+    done < <(grep -rlE "${MAPS}(<|::)" "$dir" --include='*.rs' || true)
 done
 
 sort -u "$hits_file" -o "$hits_file"
