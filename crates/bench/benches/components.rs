@@ -1,13 +1,11 @@
-//! Criterion micro-benchmarks of the simulator's building blocks and of
-//! full-GPU simulation throughput. These measure the *simulator's*
-//! performance (cycles simulated per second), complementing the figure
-//! binaries that measure the *simulated machine's* performance.
+//! Criterion micro-benchmarks of the simulator's building blocks: the
+//! host cost of one leaf operation (a tag probe, a controller tick, a
+//! crossbar tick). Whole-machine speed — cycles simulated per second,
+//! with repeats and a noise bar — is `nuba-perf`'s job (`benchmark/`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use nuba_core::GpuSimulator;
-use nuba_types::{ArchKind, GpuConfig, LineAddr};
-use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
+use nuba_types::LineAddr;
 
 fn bench_cache(c: &mut Criterion) {
     use nuba_cache::{CacheGeometry, MshrFile, TagArray};
@@ -157,101 +155,12 @@ fn bench_driver(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_gpu_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gpu_step");
-    g.throughput(Throughput::Elements(1));
-
-    // Steady-state cost of a single simulator cycle: the simulator is
-    // warmed and pre-run so scratch buffers, MSHR pools and page tables
-    // have reached their stable capacities before measurement begins.
-    for (name, arch) in [
-        ("uba_steady", ArchKind::MemSideUba),
-        ("nuba_steady", ArchKind::Nuba),
-    ] {
-        g.bench_function(name, |b| {
-            let cfg = GpuConfig::paper_baseline(arch);
-            let wl = Workload::build(BenchmarkId::Sgemm, ScaleProfile::fast(), cfg.num_sms, 42);
-            let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-            gpu.warm(&wl, 128);
-            for _ in 0..4_000 {
-                gpu.step();
-            }
-            b.iter(|| gpu.step());
-        });
-    }
-    g.finish();
-}
-
-fn bench_full_sim(c: &mut Criterion) {
-    let mut g = c.benchmark_group("full_sim");
-    g.sample_size(10);
-
-    for (name, arch) in [
-        ("uba_64sm", ArchKind::MemSideUba),
-        ("nuba_64sm", ArchKind::Nuba),
-    ] {
-        g.throughput(Throughput::Elements(1_000));
-        g.bench_function(format!("{name}_1k_cycles"), |b| {
-            let cfg = GpuConfig::paper_baseline(arch);
-            let wl = Workload::build(BenchmarkId::Sgemm, ScaleProfile::fast(), cfg.num_sms, 42);
-            let mut gpu = GpuSimulator::try_new(cfg.clone(), &wl).expect("valid config");
-            gpu.warm(&wl, 128);
-            b.iter(|| {
-                for _ in 0..1_000 {
-                    gpu.step();
-                }
-            });
-        });
-    }
-    g.finish();
-}
-
-fn bench_sim_skip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sim_skip");
-    g.sample_size(10);
-
-    // Event-driven time skipping against raw stepping, on the two
-    // shapes that bracket its payoff: the paper-baseline 64-SM machine
-    // (rarely globally idle, skipping ≈ stepping) and a latency-bound
-    // one-SM/one-warp machine whose long idle spans between memory
-    // round-trips are where the skipper earns its keep. BENCH_skip.json
-    // records the end-to-end `nuba_sim` ratios for the same pair.
-    type MakeConfig = fn() -> GpuConfig;
-    let configs: [(&str, MakeConfig); 2] = [
-        ("baseline_64sm", || {
-            GpuConfig::paper_baseline(ArchKind::Nuba)
-        }),
-        ("idle_1sm", || {
-            GpuConfig::paper_baseline(ArchKind::Nuba)
-                .scaled(0.015625)
-                .with_active_warps(1)
-        }),
-    ];
-    for (shape, make_cfg) in configs {
-        for (mode, skip) in [("step", false), ("skip", true)] {
-            g.throughput(Throughput::Elements(20_000));
-            g.bench_function(format!("{shape}_{mode}_20k_cycles"), |b| {
-                let cfg = make_cfg();
-                let wl = Workload::build(BenchmarkId::Sgemm, ScaleProfile::fast(), cfg.num_sms, 42);
-                let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-                gpu.warm(&wl, 128);
-                gpu.set_skip(skip);
-                b.iter(|| gpu.advance(20_000).expect("forward progress"));
-            });
-        }
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_cache,
     bench_dram,
     bench_noc,
     bench_mdr_model,
-    bench_driver,
-    bench_gpu_step,
-    bench_full_sim,
-    bench_sim_skip
+    bench_driver
 );
 criterion_main!(benches);

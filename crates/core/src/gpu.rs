@@ -1192,6 +1192,12 @@ impl GpuSimulator {
         let n_parts = self.cfg.num_partitions();
         for i in 0..self.sms.len() {
             let sm_id = SmId(i);
+            if self.sms[i].asleep(c) {
+                // Every warp is blocked past `c`: leave the SM as the
+                // fruitless scan would have, without walking its warps.
+                self.sms[i].skip_idle();
+                continue;
+            }
             let part = self.topo.partition_of_sm(sm_id);
             self.sms[i].begin_cycle();
             for _ in 0..4 {

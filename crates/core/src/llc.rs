@@ -220,9 +220,9 @@ impl LlcSlice {
     pub fn tick(&mut self, now: u64) {
         // Idle fast-path: with every stage empty the whole tick is a
         // no-op (the arbiter only moves on a grant, and an empty out
-        // link's credit is already zero). Slices with an MDR controller
-        // always take the full path — their epoch clock must advance.
-        if self.mdr.is_none()
+        // link's credit is already zero) — unless an MDR epoch ends on
+        // this cycle.
+        if self.mdr.as_ref().is_none_or(|m| now < m.next_epoch())
             && self.retry.is_none()
             && self.hold_local.is_empty()
             && self.hold_remote.is_empty()
@@ -302,12 +302,12 @@ impl LlcSlice {
             }
         }
 
-        // Epoch maintenance.
+        // Epoch maintenance: the controller reads the sampler's
+        // estimate only on the cycle an epoch ends.
         if let Some(mdr) = &mut self.mdr {
-            let est = self.sampler.estimate();
-            let before = mdr.epochs_total;
-            mdr.tick(now, est.hit_rate_no_rep, est.hit_rate_full_rep);
-            if mdr.epochs_total != before {
+            if now >= mdr.next_epoch() {
+                let est = self.sampler.estimate();
+                mdr.tick(now, est.hit_rate_no_rep, est.hit_rate_full_rep);
                 self.sampler.roll_epoch();
             }
         }

@@ -120,6 +120,12 @@ pub struct Sm {
     /// Recycled waiter vectors for `translation_waiters` entries, so the
     /// translate-miss path stops allocating once warmed up.
     waiter_pool: Vec<Vec<WarpId>>,
+    /// Derived wake state (DESIGN.md §18.5), never serialised: a full
+    /// scan at some cycle found no warp `Ready` and no `Compute`
+    /// deadline before this cycle, so until then — or until a wake
+    /// edge clears it — another scan would find the same. `0` is
+    /// "awake", `u64::MAX` "until woken".
+    idle_until: u64,
     /// Statistics (public for the simulator's report).
     pub stats: SmStats,
 }
@@ -150,6 +156,7 @@ impl Sm {
             scanned: 0,
             translation_waiters: IntMap::default(),
             waiter_pool: Vec::new(),
+            idle_until: 0,
             stats: SmStats::default(),
         }
     }
@@ -170,6 +177,13 @@ impl Sm {
         self.scanned = 0;
     }
 
+    /// Whether every warp is blocked past `now`: a scan this cycle
+    /// would visit all of them, wake none and return nothing. The
+    /// issue loop calls [`Sm::skip_idle`] instead of polling.
+    pub fn asleep(&self, now: u64) -> bool {
+        now < self.idle_until
+    }
+
     /// Pick the next issuable warp and its pending memory access.
     ///
     /// Compute blocks are committed internally (they need no resources);
@@ -178,6 +192,10 @@ impl Sm {
     /// issue this cycle.
     pub fn poll(&mut self, now: u64) -> Option<(WarpId, Access)> {
         let n = self.warps.len();
+        let full_scan = self.scanned == 0;
+        // Earliest `Compute` deadline among the warps this call passes
+        // over (`u64::MAX`: none, they all wait on the MMU or a reply).
+        let mut wake = u64::MAX;
         while self.scanned < n {
             // `next_warp < n` and `scanned < n`: one conditional
             // subtract wraps the index. (A `%` here is a hardware
@@ -194,6 +212,7 @@ impl Sm {
                     w.state = WarpState::Ready;
                     self.stats.completed_ops += 1; // the compute block
                 } else {
+                    wake = wake.min(until);
                     continue;
                 }
             }
@@ -205,6 +224,7 @@ impl Sm {
                 None => match w.stream.next_op() {
                     WarpOp::Compute(c) => {
                         w.state = WarpState::Compute(now + c as u64);
+                        wake = wake.min(now + c as u64);
                         continue;
                     }
                     WarpOp::Mem(a) => {
@@ -218,6 +238,11 @@ impl Sm {
             // Mark as scanned so a stalled warp is not retried this cycle.
             return Some((WarpId(idx), access));
         }
+        if full_scan {
+            // Every warp was visited by this one call and none can
+            // issue: sleep until the first compute block ends.
+            self.idle_until = wake;
+        }
         None
     }
 
@@ -229,7 +254,14 @@ impl Sm {
             StallReason::Mshr => self.stats.stall_mshr += 1,
             StallReason::Outstanding => self.stats.stall_outstanding += 1,
         }
-        self.next_warp = (warp.0 + 1) % self.warps.len();
+        self.advance_past(warp);
+    }
+
+    /// Move warp selection to the warp after `warp` (`warp.0 < n`, so a
+    /// compare wraps it; a `%` is a hardware divide per stalled poll).
+    fn advance_past(&mut self, warp: WarpId) {
+        let next = warp.0 + 1;
+        self.next_warp = if next == self.warps.len() { 0 } else { next };
     }
 
     /// Whether a new downstream request fits the SM outstanding budget.
@@ -351,7 +383,7 @@ impl Sm {
             .entry(vpage)
             .or_insert_with(|| self.waiter_pool.pop().unwrap_or_default())
             .push(warp);
-        self.next_warp = (warp.0 + 1) % self.warps.len();
+        self.advance_past(warp);
     }
 
     /// The MMU resolved `vpage`; wake its waiters (they retry issue).
@@ -361,6 +393,7 @@ impl Sm {
                 let w = &mut self.warps[warp.0];
                 if w.state == WarpState::WaitTranslation {
                     w.state = WarpState::Ready;
+                    self.idle_until = 0;
                 }
             }
             self.waiter_pool.push(waiters);
@@ -418,6 +451,7 @@ impl Sm {
         w.outstanding = w.outstanding.saturating_sub(1);
         if w.state == WarpState::WaitMem && w.outstanding < mlp {
             w.state = WarpState::Ready;
+            self.idle_until = 0;
         }
     }
 
@@ -432,6 +466,10 @@ impl Sm {
     /// wakes at its deadline; translation- and memory-blocked warps
     /// wait on events owned by the MMU and the reply path.
     pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
+        if self.asleep(now) {
+            // The sleep deadline is the scan's answer, already taken.
+            return (self.idle_until != u64::MAX).then_some(self.idle_until);
+        }
         let mut next = None;
         for w in &self.warps {
             match w.state {
@@ -448,11 +486,14 @@ impl Sm {
         next
     }
 
-    /// Catch up the per-cycle scan budget after skipped idle cycles: a
-    /// stepped idle cycle ends with every warp scanned and nothing
+    /// Catch up the per-cycle scan budget after idle cycles that were
+    /// not polled (a time-skip jump, or cycles spent [`asleep`]): a
+    /// polled idle cycle ends with every warp scanned and nothing
     /// issued, so `scanned` lands on `warps.len()` (and `next_warp`
-    /// stays put). Keeps checkpoints taken after a jump byte-identical
-    /// to per-cycle stepping.
+    /// stays put). Keeps checkpoints byte-identical to per-cycle
+    /// polling.
+    ///
+    /// [`asleep`]: Sm::asleep
     pub fn skip_idle(&mut self) {
         self.scanned = self.warps.len();
     }
@@ -540,6 +581,8 @@ impl SaveState for Sm {
         }
         self.next_warp = next_warp;
         self.scanned = usize::get(r)?;
+        // Derived, not saved: awake, so the first poll re-derives it.
+        self.idle_until = 0;
         restore_map(r, &mut self.translation_waiters)?;
         // The recycled-vector pool is scratch: waiters popped from it are
         // interchangeable empty vectors, so start it empty.

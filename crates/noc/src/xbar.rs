@@ -27,6 +27,65 @@ impl<T: Wire> Wire for Routed<T> {
     }
 }
 
+/// One bit per port: which of a per-port family of queues holds
+/// anything, so a sweep visits the occupied ports and not all of them.
+/// Derived from the queues (DESIGN.md §18.5): never serialised, rebuilt
+/// in `restore`.
+#[derive(Debug, Clone)]
+struct PortMask {
+    words: Vec<u64>,
+}
+
+impl PortMask {
+    fn new(ports: usize) -> PortMask {
+        PortMask {
+            words: vec![0; ports.div_ceil(64)],
+        }
+    }
+
+    fn set(&mut self, port: usize) {
+        self.words[port / 64] |= 1 << (port % 64);
+    }
+
+    fn clear(&mut self, port: usize) {
+        self.words[port / 64] &= !(1 << (port % 64));
+    }
+
+    fn get(&self, port: usize) -> bool {
+        self.words[port / 64] >> (port % 64) & 1 == 1
+    }
+
+    /// Set exactly the ports whose queue, in port order, is `occupied`.
+    fn refill(&mut self, occupied: impl Iterator<Item = bool>) {
+        self.words.fill(0);
+        for (port, on) in occupied.enumerate() {
+            if on {
+                self.set(port);
+            }
+        }
+    }
+
+    /// Whether each bit equals its queue's `occupied`, in port order.
+    fn matches(&self, occupied: impl Iterator<Item = bool>) -> bool {
+        occupied.enumerate().all(|(port, on)| self.get(port) == on)
+    }
+
+    fn any(&self) -> bool {
+        self.words.iter().any(|&w| w != 0)
+    }
+
+    /// The lowest set port `>= from`.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (!0 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
 /// A hierarchical crossbar modelled at flow level.
 ///
 /// Each input port serializes packets at the per-port link bandwidth
@@ -48,6 +107,12 @@ pub struct CrossbarNoc<T> {
     /// O(1) from the flit-conservation identity `injected - packets`.
     peak_in_flight: u64,
     scratch: Vec<Routed<T>>,
+    /// Inputs whose link holds a packet (`pending() > 0`).
+    in_busy: PortMask,
+    /// Inputs whose stage buffer is non-empty.
+    staged_busy: PortMask,
+    /// Outputs whose link holds a packet.
+    out_busy: PortMask,
 }
 
 impl<T: Wire> CrossbarNoc<T> {
@@ -87,6 +152,9 @@ impl<T: Wire> CrossbarNoc<T> {
             stats: NocStats::default(),
             peak_in_flight: 0,
             scratch: Vec::with_capacity(16 * queue_capacity),
+            in_busy: PortMask::new(n_in),
+            staged_busy: PortMask::new(n_in),
+            out_busy: PortMask::new(n_out),
         }
     }
 
@@ -111,6 +179,7 @@ impl<T: Wire> CrossbarNoc<T> {
         assert!(dest < self.outputs.len(), "dest {dest} out of range");
         match self.inputs[port].try_send(Routed { dest, item }, now) {
             Ok(()) => {
+                self.in_busy.set(port);
                 self.stats.injected += 1;
                 self.peak_in_flight = self
                     .peak_in_flight
@@ -137,58 +206,89 @@ impl<T: Wire> CrossbarNoc<T> {
         // a tick). Keep the rotating priority advancing exactly as a
         // full tick would so arbitration state stays bit-identical.
         if self.stats.injected == self.stats.packets {
-            self.rr_start = (self.rr_start + 1) % self.inputs.len();
+            self.rotate_priority();
             return;
         }
 
-        // Stage 1: serialize out of the input links into stage buffers.
-        // Empty links are skipped: with nothing queued or in flight a
-        // link tick only zeroes an already-zero credit.
-        for (i, link) in self.inputs.iter_mut().enumerate() {
-            if link.pending() == 0 {
-                continue;
-            }
+        // Stage 1: serialize out of the occupied input links into stage
+        // buffers. (On an empty link a tick only zeroes an already-zero
+        // credit.)
+        let mut from = 0;
+        while let Some(i) = self.in_busy.next_from(from) {
+            from = i + 1;
+            let link = &mut self.inputs[i];
             link.tick(now, &mut self.scratch);
-            for r in self.scratch.drain(..) {
-                self.staged[i].push_back(r);
+            if link.pending() == 0 {
+                self.in_busy.clear(i);
+            }
+            if !self.scratch.is_empty() {
+                self.staged_busy.set(i);
+                self.staged[i].extend(self.scratch.drain(..));
             }
         }
 
-        // Output arbitration: rotating priority over inputs; each input
-        // may forward only its head packet (head-of-line blocking).
-        let n_in = self.inputs.len();
-        for k in 0..n_in {
-            let i = (self.rr_start + k) % n_in;
-            while let Some(head) = self.staged[i].front() {
-                let dest = head.dest;
-                if !self.outputs[dest].can_send() {
-                    break;
-                }
-                let Some(r) = self.staged[i].pop_front() else {
-                    break;
-                };
-                if let Err(back) = self.outputs[dest].try_send(r, now) {
-                    // Lost the slot despite the can_send check (cannot
-                    // happen single-threaded); restore and retry later
-                    // rather than dropping the packet.
-                    self.staged[i].push_front(back.0);
-                    break;
-                }
-            }
+        // Output arbitration: rotating priority over the inputs with a
+        // staged packet, `rr_start` first and wrapping.
+        let start = self.rr_start;
+        let mut from = start;
+        while let Some(i) = self.staged_busy.next_from(from) {
+            from = i + 1;
+            self.forward_staged(i, now);
         }
-        self.rr_start = (self.rr_start + 1) % n_in;
+        from = 0;
+        while let Some(i) = self.staged_busy.next_from(from).filter(|&i| i < start) {
+            from = i + 1;
+            self.forward_staged(i, now);
+        }
+        self.rotate_priority();
 
-        // Stage 2: serialize out of the ejection links.
-        for (o, link) in self.outputs.iter_mut().enumerate() {
-            if link.pending() == 0 {
-                continue;
-            }
+        // Stage 2: serialize out of the occupied ejection links.
+        let mut from = 0;
+        while let Some(o) = self.out_busy.next_from(from) {
+            from = o + 1;
+            let link = &mut self.outputs[o];
             link.tick(now, &mut self.scratch);
+            if link.pending() == 0 {
+                self.out_busy.clear(o);
+            }
             for r in self.scratch.drain(..) {
                 self.stats.packets += 1;
                 self.stats.bytes += r.item.wire_bytes();
                 self.delivered[o].push_back(r.item);
             }
+        }
+    }
+
+    /// Move input `i`'s staged packets into their ejection links while
+    /// the head's port has room. Only the head may move (head-of-line
+    /// blocking).
+    fn forward_staged(&mut self, i: usize, now: u64) {
+        while let Some(head) = self.staged[i].front() {
+            let dest = head.dest;
+            if !self.outputs[dest].can_send() {
+                return;
+            }
+            let Some(r) = self.staged[i].pop_front() else {
+                return;
+            };
+            if let Err(back) = self.outputs[dest].try_send(r, now) {
+                // Lost the slot despite the can_send check (cannot
+                // happen single-threaded); restore and retry later
+                // rather than dropping the packet.
+                self.staged[i].push_front(back.0);
+                return;
+            }
+            self.out_busy.set(dest);
+        }
+        self.staged_busy.clear(i);
+    }
+
+    /// Every tick, idle or busy, moves the arbitration priority on by
+    /// one input. (`rr_start < n_in`: a compare wraps it, not a `%`.)
+    fn rotate_priority(&mut self) {
+        self.rr_start += 1;
+        if self.rr_start == self.inputs.len() {
+            self.rr_start = 0;
         }
     }
 
@@ -257,6 +357,8 @@ impl<T: Wire> CrossbarNoc<T> {
     /// fabric never drops or duplicates traffic. Holds exactly at any
     /// instant; a violation is counted against the
     /// `noc_flits_conserved` invariant (and panics in debug builds).
+    /// Also checks the derived port-occupancy masks against the queues
+    /// they summarise (`noc_port_masks_match_queues`).
     pub fn check_conservation(&self) {
         let traversing = self.inputs.iter().map(|l| l.pending()).sum::<usize>()
             + self.staged.iter().map(VecDeque::len).sum::<usize>()
@@ -266,6 +368,19 @@ impl<T: Wire> CrossbarNoc<T> {
             self.stats.injected,
             self.stats.packets + traversing as u64
         );
+        nuba_types::invariant!("noc_port_masks_match_queues", self.masks_match_queues());
+    }
+
+    /// Each occupancy bit is set exactly when its queue holds a packet.
+    fn masks_match_queues(&self) -> bool {
+        self.in_busy
+            .matches(self.inputs.iter().map(|l| l.pending() > 0))
+            && self
+                .staged_busy
+                .matches(self.staged.iter().map(|q| !q.is_empty()))
+            && self
+                .out_busy
+                .matches(self.outputs.iter().map(|l| l.pending() > 0))
     }
 }
 
@@ -275,17 +390,21 @@ impl<T: Wire> NextEvent for CrossbarNoc<T> {
         // staged packets may move the moment their ejection port frees —
         // both pin the next event to `now` (conservatively for staged
         // packets that are actually head-of-line blocked).
-        if self.delivered.iter().any(|q| !q.is_empty()) || self.staged.iter().any(|q| !q.is_empty())
-        {
+        if self.staged_busy.any() || self.delivered.iter().any(|q| !q.is_empty()) {
             return Some(now);
         }
         // Otherwise the only timed work is inside the port links. The
         // arbitration pointer still rotates every skipped cycle; the
         // caller reproduces that with `skip_idle`.
         let mut next = None;
-        for link in self.inputs.iter().chain(self.outputs.iter()) {
-            if link.pending() > 0 {
-                next = earliest(next, link.next_event_cycle(now));
+        for (links, busy) in [
+            (&self.inputs, &self.in_busy),
+            (&self.outputs, &self.out_busy),
+        ] {
+            let mut from = 0;
+            while let Some(p) = busy.next_from(from) {
+                from = p + 1;
+                next = earliest(next, links[p].next_event_cycle(now));
                 if next == Some(now) {
                     return next;
                 }
@@ -369,6 +488,12 @@ impl<T: Wire + StateValue> SaveState for CrossbarNoc<T> {
         self.stats.bytes = u64::get(r)?;
         self.stats.inject_stalls = u64::get(r)?;
         self.peak_in_flight = u64::get(r)?;
+        self.in_busy
+            .refill(self.inputs.iter().map(|l| l.pending() > 0));
+        self.staged_busy
+            .refill(self.staged.iter().map(|q| !q.is_empty()));
+        self.out_busy
+            .refill(self.outputs.iter().map(|l| l.pending() > 0));
         Ok(())
     }
 }
@@ -411,6 +536,29 @@ mod tests {
             }
         }
         got
+    }
+
+    #[test]
+    fn port_mask_walks_set_bits_across_words() {
+        // 128-SM machines have crossbars wider than one mask word.
+        let mut m = PortMask::new(130);
+        for p in [0, 63, 64, 129] {
+            m.set(p);
+        }
+        let walk = |m: &PortMask, mut from: usize| {
+            let mut seen = Vec::new();
+            while let Some(p) = m.next_from(from) {
+                seen.push(p);
+                from = p + 1;
+            }
+            seen
+        };
+        assert_eq!(walk(&m, 0), [0, 63, 64, 129]);
+        assert_eq!(walk(&m, 64), [64, 129]);
+        assert_eq!(walk(&m, 130), []);
+        m.clear(64);
+        assert_eq!(walk(&m, 1), [63, 129]);
+        assert!(m.get(63) && !m.get(64) && m.any());
     }
 
     #[test]
@@ -630,6 +778,91 @@ mod tests {
             blocked > free + 5,
             "HoL not modelled: free={free}, blocked={blocked}"
         );
+    }
+
+    impl StateValue for Pkt {
+        fn put(&self, w: &mut StateWriter) {
+            self.0.put(w);
+            w.put_u32(self.1);
+        }
+
+        fn get(r: &mut StateReader<'_>) -> Result<Self, StateError> {
+            Ok(Pkt(u64::get(r)?, r.get_u32()?))
+        }
+    }
+
+    fn state_bytes(noc: &CrossbarNoc<Pkt>) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        noc.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_with_every_stage_occupied_continues_identically() {
+        // The occupancy masks are not saved; `restore` rebuilds them.
+        // Three inputs flood output 0 (it backs up into the stage
+        // buffers) while input 3 keeps output 1 moving. At the first
+        // cycle with packets in every stage at once, checkpoint into a
+        // fresh crossbar and run both on: same deliveries, same bytes,
+        // and every mask bit matching its queue, each cycle.
+        let fresh = || -> CrossbarNoc<Pkt> { CrossbarNoc::new(4, 4, 8.0, 2, 2) };
+        let mut through = fresh();
+        let mut resumed: Option<CrossbarNoc<Pkt>> = None;
+        let mut next_id = 0u32;
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for now in 0..600u64 {
+            for src in 0..4 {
+                let dest = usize::from(src == 3);
+                if now < 80 && through.can_send(src) {
+                    next_id += 1;
+                    let bytes = 24 + 8 * u64::from(next_id % 5);
+                    through
+                        .try_send(src, dest, Pkt(bytes, next_id), now)
+                        .unwrap();
+                    if let Some(r) = resumed.as_mut() {
+                        r.try_send(src, dest, Pkt(bytes, next_id), now).unwrap();
+                    }
+                }
+            }
+            through.tick(now);
+            through.check_conservation();
+            assert!(through.masks_match_queues(), "cycle {now}");
+            if let Some(r) = resumed.as_mut() {
+                r.tick(now);
+                r.check_conservation();
+                assert!(r.masks_match_queues(), "resumed, cycle {now}");
+            }
+            // Drain every third cycle so the delivery buffers fill.
+            if now % 3 == 0 {
+                for port in 0..4 {
+                    through.drain_port(port, &mut a);
+                    if let Some(r) = resumed.as_mut() {
+                        r.drain_port(port, &mut b);
+                        assert_eq!(a, b, "deliveries at port {port}, cycle {now}");
+                    }
+                    a.clear();
+                    b.clear();
+                }
+            }
+            match resumed.as_ref() {
+                Some(r) => assert!(state_bytes(r) == state_bytes(&through), "cycle {now}"),
+                None => {
+                    let every_stage = through.inputs.iter().any(|l| l.pending() > 0)
+                        && through.staged.iter().any(|q| !q.is_empty())
+                        && through.outputs.iter().any(|l| l.pending() > 0)
+                        && through.delivered.iter().any(|q| !q.is_empty());
+                    if every_stage {
+                        let saved = state_bytes(&through);
+                        let mut r = fresh();
+                        r.restore(&mut StateReader::new(&saved)).expect("own bytes");
+                        assert!(r.masks_match_queues(), "restored at cycle {now}");
+                        resumed = Some(r);
+                    }
+                }
+            }
+        }
+        assert!(resumed.is_some(), "the flood never occupied every stage");
+        assert_eq!(through.in_flight(), 0);
     }
 
     #[test]

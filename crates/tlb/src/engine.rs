@@ -1,7 +1,8 @@
 //! The two-level translation engine: L1 TLBs, shared L2 TLB, walker pool
 //! and page-fault path.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use nuba_types::addr::PageNum;
 use nuba_types::{IntMap, SmId};
@@ -124,11 +125,19 @@ pub struct TranslationEngine {
     /// High-water mark of concurrently outstanding translations.
     peak_outstanding: usize,
     stats: TlbStats,
+    /// In-flight L2 accesses as `(done_at, page)`, in start order. The
+    /// latency is one constant, so start order is completion order.
+    /// With `walks`, derived from the `stage`s in `outstanding`
+    /// (DESIGN.md §18.5): never serialised, rebuilt in `restore`.
+    l2_inflight: VecDeque<(u64, PageNum)>,
+    /// In-flight walks, earliest `done_at` first. Not a FIFO: a
+    /// faulting walk takes `fault_latency` longer than one started
+    /// after it.
+    walks: BinaryHeap<Reverse<(u64, PageNum)>>,
     /// Reusable scratch for the pages whose L2 access / walk finishes
     /// this cycle: avoids a per-cycle allocation and — because it is
-    /// sorted — makes completion order independent of hash-map
-    /// iteration order (which follows capacity and insertion history,
-    /// not the pages, and would leak into fault handling and LRU state).
+    /// sorted by page — keeps completion order (which feeds fault
+    /// handling and LRU state) a function of the pages alone.
     ready: Vec<PageNum>,
     /// Free list recycling the per-page waiter vectors.
     waiter_pool: Vec<Vec<SmId>>,
@@ -154,6 +163,10 @@ impl TranslationEngine {
             walker_stall: false,
             peak_outstanding: 0,
             stats: TlbStats::default(),
+            // At most `l2_ports` accesses start a cycle and each lasts
+            // `l2_latency`; walks are bounded by the walker pool.
+            l2_inflight: VecDeque::with_capacity(params.l2_ports * params.l2_latency as usize),
+            walks: BinaryHeap::with_capacity(params.walkers),
             ready: Vec::new(),
             waiter_pool: Vec::new(),
         }
@@ -219,16 +232,25 @@ impl TranslationEngine {
             return;
         }
 
-        // Finish L2 accesses and walks. The ready set is collected into
-        // a reusable scratch vector and sorted: hash-map iteration
-        // order differs between a fresh engine and a restored one, and
-        // completion order feeds fault handling (page placement) and L2
-        // LRU state, so it must be deterministic.
+        // Finish L2 accesses and walks: pop what is due off the two
+        // time-ordered queues, then complete in page order — completion
+        // order feeds fault handling (page placement) and L2 LRU state,
+        // so it must not depend on which queue a page sat in.
         let mut ready = std::mem::take(&mut self.ready);
-        ready.extend(self.outstanding.iter().filter_map(|(&p, o)| match o.stage {
-            Stage::L2Access { done_at } | Stage::Walking { done_at } if done_at <= now => Some(p),
-            _ => None,
-        }));
+        while let Some(&(done_at, vpage)) = self.l2_inflight.front() {
+            if done_at > now {
+                break;
+            }
+            self.l2_inflight.pop_front();
+            ready.push(vpage);
+        }
+        while let Some(&Reverse((done_at, vpage))) = self.walks.peek() {
+            if done_at > now {
+                break;
+            }
+            self.walks.pop();
+            ready.push(vpage);
+        }
         ready.sort_unstable();
         for &vpage in &ready {
             let o = self.outstanding.get_mut(&vpage).expect("present");
@@ -256,7 +278,7 @@ impl TranslationEngine {
                     Self::complete(&mut self.l1, vpage, faulted, &o.waiters, done);
                     self.recycle(o);
                 }
-                _ => unreachable!("filtered above"),
+                _ => unreachable!("only in-flight pages are queued by time"),
             }
         }
         ready.clear();
@@ -275,9 +297,9 @@ impl TranslationEngine {
             } else {
                 self.params.fault_latency
             };
-            o.stage = Stage::Walking {
-                done_at: now + self.params.walk_latency + extra,
-            };
+            let done_at = now + self.params.walk_latency + extra;
+            o.stage = Stage::Walking { done_at };
+            self.walks.push(Reverse((done_at, vpage)));
             self.active_walks += 1;
             self.stats.walks += 1;
         }
@@ -290,9 +312,9 @@ impl TranslationEngine {
             let Some(o) = self.outstanding.get_mut(&vpage) else {
                 continue;
             };
-            o.stage = Stage::L2Access {
-                done_at: now + self.params.l2_latency,
-            };
+            let done_at = now + self.params.l2_latency;
+            o.stage = Stage::L2Access { done_at };
+            self.l2_inflight.push_back((done_at, vpage));
         }
     }
 
@@ -313,23 +335,9 @@ impl TranslationEngine {
         {
             return Some(now);
         }
-        if self.outstanding.is_empty() {
-            // Iterating an empty map still walks its whole capacity;
-            // the drained case is the hot path for time skipping.
-            return None;
-        }
-        // The min over unordered map iteration is order-independent,
-        // so determinism survives without a sort.
-        let mut next = None;
-        for o in self.outstanding.values() {
-            if let Stage::L2Access { done_at } | Stage::Walking { done_at } = o.stage {
-                if done_at <= now {
-                    return Some(now);
-                }
-                next = nuba_engine::earliest(next, Some(done_at));
-            }
-        }
-        next
+        let l2 = self.l2_inflight.front().map(|&(t, _)| t);
+        let walk = self.walks.peek().map(|&Reverse((t, _))| t);
+        nuba_engine::earliest(l2, walk).map(|t| t.max(now))
     }
 
     fn recycle(&mut self, mut o: Outstanding) {
@@ -516,6 +524,19 @@ impl SaveState for TranslationEngine {
         self.peak_outstanding = usize::get(r)?;
         self.stats = TlbStats::get(r)?;
         self.waiter_pool.clear();
+        // Rebuild the time-ordered queues from the stages just read.
+        // Map order is arbitrary, so sort the FIFO; ties in `done_at` go
+        // by page, and `tick` re-sorts what it pops by page anyway.
+        self.l2_inflight.clear();
+        self.walks.clear();
+        for (&vpage, o) in &self.outstanding {
+            match o.stage {
+                Stage::L2Access { done_at } => self.l2_inflight.push_back((done_at, vpage)),
+                Stage::Walking { done_at } => self.walks.push(Reverse((done_at, vpage))),
+                Stage::L2Queued | Stage::WalkQueued => {}
+            }
+        }
+        self.l2_inflight.make_contiguous().sort_unstable();
         Ok(())
     }
 }

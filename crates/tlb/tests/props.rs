@@ -1,11 +1,185 @@
 //! Property tests: every requested translation eventually completes
 //! exactly once per request, regardless of interleaving.
 
+use std::collections::{BTreeMap, VecDeque};
+
 use proptest::prelude::*;
 
-use nuba_tlb::{TlbParams, TranslationEngine, TranslationOutcome};
+use nuba_tlb::{
+    CompletedTranslation, Tlb, TlbParams, TlbStats, TranslationEngine, TranslationOutcome,
+};
 use nuba_types::addr::PageNum;
+use nuba_types::state::{SaveState, StateReader, StateValue, StateWriter};
 use nuba_types::SmId;
+
+/// Where an outstanding translation is, as the reference tracks it.
+#[derive(Clone, Copy)]
+enum Stage {
+    L2Queued,
+    L2Access(u64),
+    WalkQueued,
+    Walking(u64),
+}
+
+struct Entry {
+    waiters: Vec<SmId>,
+    mapped: bool,
+    stage: Stage,
+}
+
+/// The translation engine as it was before its in-flight accesses and
+/// walks were queued by completion time: every tick walks the whole
+/// outstanding map for stages that are due. Kept here as the reference
+/// the queued `TranslationEngine::tick` must agree with, completion by
+/// completion and byte by byte (`state_bytes` writes what
+/// `TranslationEngine::save` writes).
+struct ScanEngine {
+    params: TlbParams,
+    l1: Vec<Tlb>,
+    l2: Tlb,
+    /// Ordered by page, so iteration is the sorted ready set.
+    outstanding: BTreeMap<PageNum, Entry>,
+    l2_queue: VecDeque<PageNum>,
+    walk_queue: VecDeque<PageNum>,
+    active_walks: usize,
+    walker_stall: bool,
+    peak_outstanding: usize,
+    stats: TlbStats,
+}
+
+impl ScanEngine {
+    fn new(params: TlbParams, num_sms: usize) -> ScanEngine {
+        ScanEngine {
+            params,
+            l1: (0..num_sms)
+                .map(|_| Tlb::new(params.l1_entries, params.l1_ways))
+                .collect(),
+            l2: Tlb::new(params.l2_entries, params.l2_ways),
+            outstanding: BTreeMap::new(),
+            l2_queue: VecDeque::new(),
+            walk_queue: VecDeque::new(),
+            active_walks: 0,
+            walker_stall: false,
+            peak_outstanding: 0,
+            stats: TlbStats::default(),
+        }
+    }
+
+    fn request(&mut self, sm: SmId, vpage: PageNum, mapped: bool) -> TranslationOutcome {
+        if self.l1[sm.0].lookup(vpage) {
+            self.stats.l1_hits += 1;
+            return TranslationOutcome::HitL1;
+        }
+        self.stats.l1_misses += 1;
+        if let Some(e) = self.outstanding.get_mut(&vpage) {
+            e.waiters.push(sm);
+            return TranslationOutcome::Pending;
+        }
+        let entry = Entry {
+            waiters: vec![sm],
+            mapped,
+            stage: Stage::L2Queued,
+        };
+        self.outstanding.insert(vpage, entry);
+        self.l2_queue.push_back(vpage);
+        self.peak_outstanding = self.peak_outstanding.max(self.outstanding.len());
+        TranslationOutcome::Pending
+    }
+
+    fn tick(&mut self, now: u64, done: &mut Vec<CompletedTranslation>) {
+        let ready: Vec<PageNum> = self
+            .outstanding
+            .iter()
+            .filter_map(|(&p, e)| match e.stage {
+                Stage::L2Access(at) | Stage::Walking(at) if at <= now => Some(p),
+                _ => None,
+            })
+            .collect();
+        for vpage in ready {
+            let walked = matches!(self.outstanding[&vpage].stage, Stage::Walking(_));
+            if !walked && !self.l2.lookup(vpage) {
+                self.stats.l2_misses += 1;
+                self.outstanding.get_mut(&vpage).expect("ready").stage = Stage::WalkQueued;
+                self.walk_queue.push_back(vpage);
+                continue;
+            }
+            let e = self.outstanding.remove(&vpage).expect("ready");
+            let faulted = walked && !e.mapped;
+            if walked {
+                self.active_walks -= 1;
+                self.l2.insert(vpage);
+                self.stats.faults += u64::from(faulted);
+            } else {
+                self.stats.l2_hits += 1;
+            }
+            for sm in e.waiters {
+                self.l1[sm.0].insert(vpage);
+                done.push(CompletedTranslation { sm, vpage, faulted });
+            }
+        }
+        while !self.walker_stall && self.active_walks < self.params.walkers {
+            let Some(vpage) = self.walk_queue.pop_front() else {
+                break;
+            };
+            let e = self.outstanding.get_mut(&vpage).expect("queued");
+            let extra = if e.mapped {
+                0
+            } else {
+                self.params.fault_latency
+            };
+            e.stage = Stage::Walking(now + self.params.walk_latency + extra);
+            self.active_walks += 1;
+            self.stats.walks += 1;
+        }
+        for _ in 0..self.params.l2_ports {
+            let Some(vpage) = self.l2_queue.pop_front() else {
+                break;
+            };
+            self.outstanding.get_mut(&vpage).expect("queued").stage =
+                Stage::L2Access(now + self.params.l2_latency);
+        }
+    }
+
+    fn state_bytes(&self) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.put_u32(self.l1.len() as u32);
+        for t in &self.l1 {
+            t.save(&mut w);
+        }
+        self.l2.save(&mut w);
+        w.put_u64(self.outstanding.len() as u64);
+        for (vpage, e) in &self.outstanding {
+            vpage.put(&mut w);
+            e.waiters.put(&mut w);
+            e.mapped.put(&mut w);
+            match e.stage {
+                Stage::L2Queued => w.put_u8(0),
+                Stage::L2Access(at) => {
+                    w.put_u8(1);
+                    at.put(&mut w);
+                }
+                Stage::WalkQueued => w.put_u8(2),
+                Stage::Walking(at) => {
+                    w.put_u8(3);
+                    at.put(&mut w);
+                }
+            }
+        }
+        self.l2_queue.put(&mut w);
+        self.walk_queue.put(&mut w);
+        self.active_walks.put(&mut w);
+        self.walker_stall.put(&mut w);
+        self.peak_outstanding.put(&mut w);
+        self.stats.put(&mut w);
+        w.into_bytes()
+    }
+}
+
+fn state_bytes(mmu: &TranslationEngine) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    mmu.save(&mut w);
+    w.into_bytes()
+}
 
 proptest! {
     #[test]
@@ -174,5 +348,78 @@ proptest! {
         }
         prop_assert_eq!(mmu.outstanding(), 0, "horizon drains every walk");
         prop_assert!(mmu.next_event_cycle(horizon).is_none(), "drained engine must sleep");
+    }
+
+    /// The time-ordered queues against the map scan they replaced: over
+    /// a random request/tick schedule with unmapped pages (a faulting
+    /// walk finishes after walks started later, so completion is not
+    /// start order), a window with the walker pool stalled, and a save →
+    /// restore into a fresh engine part-way (the queues are not saved;
+    /// `restore` rebuilds them), the engine and the reference complete
+    /// the same translations on the same cycles in the same order, and
+    /// their counters, next events and state bytes agree every cycle.
+    #[test]
+    fn queued_completions_match_the_map_scan(
+        reqs in proptest::collection::vec(
+            (0usize..4, 0u64..24, any::<bool>(), 0u64..12), 1..60),
+        walkers in 1usize..4,
+        stall in (0u64..300, 0u64..200),
+        restore_at in 0u64..400,
+    ) {
+        let params = TlbParams {
+            l1_entries: 8,
+            l1_ways: 2,
+            l2_entries: 32,
+            l2_ways: 4,
+            walkers,
+            fault_latency: 50,
+            ..TlbParams::paper()
+        };
+        let mut mmu = TranslationEngine::new(params, 4);
+        let mut reference = ScanEngine::new(params, 4);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut arrivals = reqs.iter().copied();
+        let mut next_arrival = 0u64;
+        let mut restored = false;
+        // Arrivals end by 12 * 60; the serialized worst case after that
+        // is one walker doing walk 160 + fault 50 per distinct page.
+        let horizon = 12 * 60 + 24 * 210 + 400 + stall.0 + stall.1;
+        for now in 0..horizon {
+            if now == stall.0 {
+                mmu.set_walker_stall(true);
+                reference.walker_stall = true;
+            }
+            if now == stall.0 + stall.1 {
+                mmu.set_walker_stall(false);
+                reference.walker_stall = false;
+            }
+            // A gap of zero puts the next request on the same cycle.
+            while now == next_arrival {
+                let Some((sm, vpage, mapped, gap)) = arrivals.next() else {
+                    break;
+                };
+                let a = mmu.request(SmId(sm), PageNum(vpage), now, mapped);
+                let b = reference.request(SmId(sm), PageNum(vpage), mapped);
+                prop_assert_eq!(a, b, "outcome at cycle {}", now);
+                next_arrival = now + gap;
+            }
+            if now >= restore_at && !restored && mmu.outstanding() > 0 {
+                let saved = state_bytes(&mmu);
+                let mut fresh = TranslationEngine::new(params, 4);
+                fresh.restore(&mut StateReader::new(&saved)).expect("own bytes");
+                mmu = fresh;
+                restored = true;
+            }
+            let due = mmu.next_event_cycle(now);
+            mmu.tick(now, &mut got);
+            reference.tick(now, &mut want);
+            prop_assert_eq!(&got, &want, "completions at cycle {}", now);
+            prop_assert!(got.is_empty() || due == Some(now), "unannounced completion at {}", now);
+            got.clear();
+            want.clear();
+            prop_assert_eq!(mmu.stats(), reference.stats);
+            prop_assert!(state_bytes(&mmu) == reference.state_bytes(), "state bytes at {}", now);
+        }
+        prop_assert_eq!(mmu.outstanding(), 0, "horizon drains every walk");
     }
 }
