@@ -227,9 +227,6 @@ fn run_all(a: &Args, benches: &[BenchmarkId]) -> Vec<JobResult> {
         cycles: a.cycles,
         scale: scale_of(a),
         seed: a.seed,
-        // `NUBA_FIDELITY` arrives resolved through the options snapshot;
-        // the runner applies the per-job ladder on top of this.
-        fidelity: HarnessOptions::get().fidelity.one_off(),
     };
     let jobs: Vec<Job> = benches
         .iter()

@@ -26,9 +26,9 @@ use nuba_core::{SimError, SimReport, SimSession};
 use nuba_types::{harmonic_mean_speedup, ArchKind, Fidelity, GpuConfig, ReplicationKind};
 use nuba_workloads::{BenchmarkId, ScaleProfile, SharingClass, Workload};
 
-/// How `NUBA_FIDELITY` resolves: one fixed rung for every job, or the
-/// runner's per-job escalation ladder (`auto`). Figure binaries never
-/// read the variable themselves — they see this resolved mode through
+/// How `NUBA_FIDELITY` resolves: one fixed rung for every job, or a
+/// per-job choice (`auto`). Figure binaries never read the variable
+/// themselves — they see this resolved mode through
 /// [`HarnessOptions`] and the per-job [`Fidelity`] the
 /// [`runner`] attaches to each [`runner::JobResult`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,32 +38,17 @@ pub enum FidelityMode {
     /// harness.
     Fixed(Fidelity),
     /// Tier-0 screen on every job: an informative screen stands alone
-    /// (no simulation), a non-informative one escalates to a tier-1
-    /// sampled run, and tier-2 full simulation is reached only where
-    /// the tier-1 bounds are too wide to separate paper-scale deltas
-    /// (see `runner`).
+    /// (no simulation), anything else runs at full detail (see
+    /// [`runner::tier0_screen`]).
     Auto,
 }
 
 impl FidelityMode {
-    /// Parse a `NUBA_FIDELITY` value (`auto`, or any
-    /// [`Fidelity`] spelling: `analytical`, `sampled`, `sampled:NxM`,
-    /// `full`).
+    /// Parse a `NUBA_FIDELITY` value: `analytical`, `full` or `auto`.
     pub fn parse(s: &str) -> Option<FidelityMode> {
-        let t = s.trim();
-        if t == "auto" {
-            return Some(FidelityMode::Auto);
-        }
-        t.parse().ok().map(FidelityMode::Fixed)
-    }
-
-    /// The fidelity a *one-off* run (outside the runner) executes at:
-    /// the fixed rung, or [`Fidelity::Full`] under `auto` — escalation
-    /// needs the runner's comparison context.
-    pub fn one_off(self) -> Fidelity {
-        match self {
-            FidelityMode::Fixed(f) => f,
-            FidelityMode::Auto => Fidelity::Full,
+        match s.trim() {
+            "auto" => Some(FidelityMode::Auto),
+            t => t.parse().ok().map(FidelityMode::Fixed),
         }
     }
 }
@@ -163,14 +148,19 @@ pub struct HarnessOptions {
     /// from the byte-determinism contract (DESIGN.md §16).
     pub matrix_trace: Option<String>,
     /// `NUBA_FIDELITY`: the execution-fidelity ladder (DESIGN.md §17).
-    /// `full` (default), `analytical`, `sampled[:NxM]`, or `auto` for
-    /// per-job escalation. Unrecognized values fall back to `full`.
+    /// `full` (default), `analytical`, or `auto` for a per-job choice.
+    /// Any other value is an error.
     pub fidelity: FidelityMode,
 }
 
 impl HarnessOptions {
     /// Parse every knob from the environment.
-    pub fn from_env() -> HarnessOptions {
+    ///
+    /// # Errors
+    /// A one-line message when `NUBA_FIDELITY` is set to something other
+    /// than its three values — falling back to `full` would silently
+    /// run a mistyped `auto` matrix at 8× the cost.
+    pub fn from_env() -> Result<HarnessOptions, String> {
         fn num<T: std::str::FromStr>(name: &str) -> Option<T> {
             std::env::var(name).ok().and_then(|v| v.parse().ok())
         }
@@ -183,7 +173,13 @@ impl HarnessOptions {
             None if full => Some(20_000),
             None => None,
         };
-        HarnessOptions {
+        let fidelity = match path("NUBA_FIDELITY") {
+            None => FidelityMode::Fixed(Fidelity::Full),
+            Some(v) => FidelityMode::parse(&v).ok_or_else(|| {
+                format!("NUBA_FIDELITY={v:?} is not a fidelity (expected analytical | full | auto)")
+            })?,
+        };
+        Ok(HarnessOptions {
             jobs: num("NUBA_JOBS")
                 .filter(|&n: &usize| n > 0)
                 .unwrap_or_else(|| {
@@ -215,16 +211,22 @@ impl HarnessOptions {
             metrics: path("NUBA_METRICS"),
             events: path("NUBA_EVENTS"),
             matrix_trace: path("NUBA_MATRIX_TRACE"),
-            fidelity: path("NUBA_FIDELITY")
-                .and_then(|v| FidelityMode::parse(&v))
-                .unwrap_or(FidelityMode::Fixed(Fidelity::Full)),
-        }
+            fidelity,
+        })
     }
 
-    /// The process-wide snapshot, parsed on first call.
+    /// The process-wide snapshot, parsed on first call. A rejected
+    /// environment ([`from_env`](Self::from_env)) prints its message and
+    /// exits with status 2: every binary reads the snapshot before its
+    /// first job.
     pub fn get() -> &'static HarnessOptions {
         static OPTIONS: OnceLock<HarnessOptions> = OnceLock::new();
-        OPTIONS.get_or_init(HarnessOptions::from_env)
+        OPTIONS.get_or_init(|| {
+            HarnessOptions::from_env().unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2)
+            })
+        })
     }
 }
 
@@ -237,10 +239,6 @@ pub struct Harness {
     pub scale: ScaleProfile,
     /// Seed for layouts and streams.
     pub seed: u64,
-    /// Execution fidelity for one-off runs ([`FidelityMode::one_off`]
-    /// of the `NUBA_FIDELITY` mode). The runner's escalation ladder
-    /// overrides this per job.
-    pub fidelity: Fidelity,
 }
 
 impl Harness {
@@ -255,7 +253,6 @@ impl Harness {
                 ScaleProfile::default()
             },
             seed: 42,
-            fidelity: opts.fidelity.one_off(),
         }
     }
 
@@ -296,9 +293,7 @@ impl Harness {
     ) -> Result<SimReport, SimError> {
         let cfg = self.prepare(cfg, scale);
         let wl = Workload::build(bench, scale, cfg.num_sms, self.seed);
-        let mut session = SimSession::builder(cfg, wl)
-            .fidelity(self.fidelity)
-            .build()?;
+        let mut session = SimSession::builder(cfg, wl).build()?;
         session.warm();
         session.run_window(self.cycles)
     }
@@ -341,7 +336,7 @@ pub fn main_configs() -> [(&'static str, GpuConfig); 4] {
 /// The `simcheck` architecture matrix: both UBA baselines and NUBA
 /// with each replication / page-allocation policy the paper evaluates
 /// (11 configurations). Shared by the invariant gate (`simcheck`), the
-/// fidelity-ladder validation (`fig_fidelity`), and the bound-coverage
+/// fidelity-ladder validation (`fig_fidelity`), and the ladder's
 /// integration tests, so they all exercise the same machine space.
 pub fn simcheck_configs() -> Vec<(String, GpuConfig)> {
     let mut out = vec![
@@ -516,6 +511,22 @@ mod tests {
         assert!((m.low - harmonic_mean_speedup(&[1.5, 1.3])).abs() < 1e-12);
         assert!((m.high - harmonic_mean_speedup(&[1.2, 1.4])).abs() < 1e-12);
         assert!(m.all > 1.0);
+    }
+
+    #[test]
+    fn fidelity_mode_accepts_exactly_three_values() {
+        assert_eq!(
+            FidelityMode::parse("analytical"),
+            Some(FidelityMode::Fixed(Fidelity::Analytical))
+        );
+        assert_eq!(
+            FidelityMode::parse("full"),
+            Some(FidelityMode::Fixed(Fidelity::Full))
+        );
+        assert_eq!(FidelityMode::parse("auto"), Some(FidelityMode::Auto));
+        for bad in ["sampled", "sampled:4x512", "1", "atuo", ""] {
+            assert_eq!(FidelityMode::parse(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

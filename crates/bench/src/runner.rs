@@ -47,13 +47,14 @@ use std::time::{Duration, Instant};
 
 use nuba_core::telemetry::escape_json;
 use nuba_core::{
-    default_warm_accesses, run_sampled, Checkpoint, GpuSimulator, SimError, SimReport,
-    TelemetryWindow, TraceRecord, NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES,
+    default_warm_accesses, Checkpoint, GpuSimulator, SimError, SimReport, TelemetryWindow,
+    TraceRecord, NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES,
 };
 use nuba_engine::FaultPlan;
 use nuba_types::{Fidelity, GpuConfig, Histogram, MetricsRegistry};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
 
+use crate::screen::{screen_benchmark, ScreenPrediction};
 use crate::store::{CheckpointStore, StoreKey, StoreStats};
 use crate::{FidelityMode, Harness, HarnessOptions};
 
@@ -87,9 +88,8 @@ pub struct Job {
     /// matrix survives a dying job. Never set outside chaos drills.
     pub inject_panic: bool,
     /// Execution-fidelity override for this job. `None` defers to the
-    /// process-wide `NUBA_FIDELITY` mode (fixed rung or the `auto`
-    /// escalation ladder); `Some` pins this job to one rung regardless
-    /// of the mode.
+    /// process-wide `NUBA_FIDELITY` mode (fixed rung or `auto`);
+    /// `Some` pins this job to one rung regardless of the mode.
     pub fidelity: Option<Fidelity>,
 }
 
@@ -158,9 +158,8 @@ impl Job {
     }
 
     /// Pin this job to one fidelity rung, overriding the process-wide
-    /// `NUBA_FIDELITY` mode (figure binaries that *are* the ladder —
-    /// `fig_fidelity` — use this to run the same job at tier 1 and
-    /// tier 2).
+    /// `NUBA_FIDELITY` mode (`fig_fidelity` pins its truth runs to
+    /// tier 2 whatever the mode).
     #[must_use]
     pub fn with_fidelity(mut self, fidelity: Fidelity) -> Job {
         self.fidelity = Some(fidelity);
@@ -265,13 +264,10 @@ pub struct JobResult {
     /// Wall-clock offset of each attempt's start relative to the
     /// matrix start (one entry per attempt; matrix-trace only).
     pub attempt_offsets_secs: Vec<f64>,
-    /// The fidelity rung the report was actually produced at (after
-    /// any `auto` escalation). [`Fidelity::Full`] for jobs that never
-    /// produced a report.
+    /// The fidelity rung the report was produced at (what `auto`
+    /// resolved to). [`Fidelity::Full`] for jobs that never produced a
+    /// report.
     pub fidelity: Fidelity,
-    /// Whether the `auto` ladder escalated this job from a sampled run
-    /// to full simulation because the declared bounds were too wide.
-    pub escalated: bool,
 }
 
 impl JobResult {
@@ -720,18 +716,8 @@ enum JobAbort {
     TimedOut,
 }
 
-/// When the `auto` ladder sees a sampled report whose IPC bound has a
-/// relative half-width above this, the bounds are too wide to separate
-/// paper-scale config deltas (§6 speedups run 5–40%) and the job is
-/// escalated to full simulation. The value is twice the bound's 12%
-/// calibration floor, so only jobs whose *variance* term is large —
-/// genuinely unstable interval rates — pay for tier 2.
-const ESCALATE_REL_HALF_WIDTH: f64 = 0.24;
-
 /// Everything a detailed (tier-2) chunked window needs to cooperate
-/// with cancellation, deadlines, and mid-run checkpointing — factored
-/// out of [`execute_job`] so the `auto` ladder can run it both as the
-/// default path and as the escalation target.
+/// with cancellation, deadlines, and mid-run checkpointing.
 struct DetailedWindow<'a> {
     ctx: &'a RunnerCtx,
     job: &'a Job,
@@ -817,10 +803,28 @@ struct JobOutput {
     report: SimReport,
     windows: Vec<TelemetryWindow>,
     trace: Vec<TraceRecord>,
-    /// The rung the report was produced at (after any escalation).
+    /// The rung the report was produced at.
     fidelity: Fidelity,
-    /// Whether the `auto` ladder escalated tier 1 → tier 2.
-    escalated: bool,
+}
+
+/// The fidelity ladder's whole policy, as a function of the job's pin,
+/// the process-wide mode and the tier-0 screen: a pin wins over the
+/// mode; a fixed rung is that rung; `auto` lets an informative screen
+/// stand alone at tier 0 and runs everything else at full detail.
+/// Returns the screen when the job's rung is [`Fidelity::Analytical`]
+/// (tier 0 builds its report from it) and `None` when it is
+/// [`Fidelity::Full`]. `screen` is called at most once, and not at all
+/// for a fixed `Full`.
+pub fn tier0_screen(
+    pin: Option<Fidelity>,
+    mode: FidelityMode,
+    screen: impl FnOnce() -> ScreenPrediction,
+) -> Option<ScreenPrediction> {
+    match pin.map_or(mode, FidelityMode::Fixed) {
+        FidelityMode::Fixed(Fidelity::Full) => None,
+        FidelityMode::Fixed(Fidelity::Analytical) => Some(screen()),
+        FidelityMode::Auto => Some(screen()).filter(ScreenPrediction::informative),
+    }
 }
 
 fn execute_job(
@@ -849,27 +853,9 @@ fn execute_job(
     if opts.trace.is_some() && cfg.telemetry.trace_sample_period == 0 {
         cfg.telemetry.trace_sample_period = ENV_TRACE_PERIOD;
     }
-    // Resolve the job's rung on the fidelity ladder: a per-job pin
-    // wins; otherwise the process-wide mode picks one fixed rung, or —
-    // under `auto` — the tier-0 screen runs on every job and decides
-    // the escalation. An informative screen (one story consistent with
-    // the model: clearly compute-bound, or one tier clearly the choke
-    // point) stands alone at tier 0; a non-informative screen
-    // escalates to tier-1 sampling, and tier 2 is reached only when
-    // the tier-1 bounds are still too wide to separate paper-scale
-    // deltas (checked below).
-    let auto = job.fidelity.is_none() && opts.fidelity == FidelityMode::Auto;
-    let mut fidelity = job.fidelity.unwrap_or(match opts.fidelity {
-        FidelityMode::Fixed(f) => f,
-        FidelityMode::Auto => Fidelity::sampled_default(),
-    });
-    if auto {
-        let screen = crate::screen::screen_benchmark(job.bench, &scale, &cfg);
-        if screen.informative() {
-            fidelity = Fidelity::Analytical;
-        }
-    }
-    if fidelity == Fidelity::Analytical {
+    if let Some(screen) = tier0_screen(job.fidelity, opts.fidelity, || {
+        screen_benchmark(job.bench, &scale, &cfg)
+    }) {
         if job.inject_panic {
             panic!("injected chaos panic (Job::with_injected_panic)");
         }
@@ -878,37 +864,31 @@ fn execute_job(
         // bandwidths) are cast into the report shape so an analytical
         // matrix still renders — marked as tier 0 by the result's
         // `fidelity` field.
-        let screen = crate::screen::screen_benchmark(job.bench, &scale, &cfg);
-        let report = screen.synthetic_report(&cfg, h.cycles);
         return Ok(JobOutput {
-            report,
+            report: screen.synthetic_report(&cfg, h.cycles),
             windows: Vec::new(),
             trace: Vec::new(),
-            fidelity,
-            escalated: false,
+            fidelity: Fidelity::Analytical,
         });
     }
     let wl = Workload::build(job.bench, scale, cfg.num_sms, seed);
-    let build_gpu = |resume: &mut Option<Checkpoint>| -> Result<GpuSimulator, JobAbort> {
-        match resume.take() {
-            // Retry of a partially completed window: the checkpoint
-            // already carries the armed fault schedule and watchdog
-            // budget.
-            Some(ckpt) => GpuSimulator::restore(cfg.clone(), &wl, &ckpt).map_err(JobAbort::Sim),
-            None => {
-                let mut gpu = warmed_simulator(ctx, job.bench, &cfg, &wl, job.faults.is_none())
-                    .map_err(JobAbort::Sim)?;
-                if let Some(plan) = &job.faults {
-                    gpu.set_fault_plan(plan);
-                }
-                if let Some(deadline) = job.deadline {
-                    gpu.set_watchdog(Some(deadline));
-                }
-                Ok(gpu)
+    let mut gpu = match resume.take() {
+        // Retry of a partially completed window: the checkpoint
+        // already carries the armed fault schedule and watchdog
+        // budget.
+        Some(ckpt) => GpuSimulator::restore(cfg.clone(), &wl, &ckpt).map_err(JobAbort::Sim)?,
+        None => {
+            let mut gpu = warmed_simulator(ctx, job.bench, &cfg, &wl, job.faults.is_none())
+                .map_err(JobAbort::Sim)?;
+            if let Some(plan) = &job.faults {
+                gpu.set_fault_plan(plan);
             }
+            if let Some(deadline) = job.deadline {
+                gpu.set_watchdog(Some(deadline));
+            }
+            gpu
         }
     };
-    let mut gpu = build_gpu(resume)?;
     if job.inject_panic {
         panic!("injected chaos panic (Job::with_injected_panic)");
     }
@@ -926,47 +906,14 @@ fn execute_job(
         job_deadline,
         matrix_deadline,
     };
-    let (report, fidelity, escalated) = match fidelity {
-        Fidelity::Sampled {
-            intervals,
-            detail_cycles,
-        } => {
-            // A sampled window must stay whole — chunking it would
-            // destroy the interval structure — so the cooperative gate
-            // runs once up front. Sampled windows are short by design;
-            // deadlines are re-checked before any escalation.
-            win.gate(&mut gpu, events)?;
-            let remaining = h.cycles.saturating_sub(gpu.cycle());
-            let sampled = if remaining == 0 {
-                gpu.report()
-            } else {
-                run_sampled(&mut gpu, remaining, intervals, detail_cycles).map_err(JobAbort::Sim)?
-            };
-            if auto && sampled.ipc_bound().relative() > ESCALATE_REL_HALF_WIDTH {
-                // Tier 1 → tier 2: the bounds cannot separate
-                // paper-scale deltas. Rebuild from the warm state and
-                // run the full window — byte-identical to a job that
-                // ran at `Fidelity::Full` from the start.
-                let mut full = build_gpu(&mut None)?;
-                let r = win.run(&mut full, resume, events)?;
-                gpu = full;
-                (r, Fidelity::Full, true)
-            } else {
-                (sampled, fidelity, false)
-            }
-        }
-        Fidelity::Analytical | Fidelity::Full => {
-            (win.run(&mut gpu, resume, events)?, Fidelity::Full, false)
-        }
-    };
+    let report = win.run(&mut gpu, resume, events)?;
     let windows = gpu.telemetry().windows_vec();
     let trace = gpu.telemetry().trace_records().to_vec();
     Ok(JobOutput {
         report,
         windows,
         trace,
-        fidelity,
-        escalated,
+        fidelity: Fidelity::Full,
     })
 }
 
@@ -1025,7 +972,6 @@ fn empty_result(
         start_offset_secs: lifecycle.start_offset_secs,
         attempt_offsets_secs: lifecycle.attempt_offsets_secs,
         fidelity: job.fidelity.unwrap_or(Fidelity::Full),
-        escalated: false,
     }
 }
 
@@ -1111,7 +1057,6 @@ fn run_job(
                     start_offset_secs,
                     attempt_offsets_secs: attempt_offsets,
                     fidelity: out.fidelity,
-                    escalated: out.escalated,
                 };
             }
             Ok((Err(JobAbort::Cancelled), ev)) => {
@@ -1469,14 +1414,11 @@ pub struct MatrixStats {
     pub cpu_seconds: f64,
     /// Total simulated cycles across the matrix.
     pub total_cycles: u64,
-    /// Cycles simulated *in detail* across the matrix
-    /// ([`SimReport::detailed_cycles`]): equals `total_cycles` when
-    /// every job ran at full fidelity, less when the sampling ladder
-    /// skipped work. `total_cycles / detailed_cycles` is the ladder's
-    /// detail-reduction factor.
+    /// Cycles simulated across the matrix: equals `total_cycles` when
+    /// every job ran at full fidelity, less by the windows of the jobs
+    /// tier 0 answered alone. `total_cycles / detailed_cycles` is the
+    /// ladder's detail-reduction factor.
     pub detailed_cycles: u64,
-    /// Jobs the `auto` ladder escalated from tier 1 to tier 2.
-    pub escalated: usize,
     /// Jobs that were quarantined instead of completing (failures and
     /// wall-clock timeouts).
     pub quarantined: usize,
@@ -1498,15 +1440,9 @@ impl MatrixStats {
             // contribute window cycles but zero detailed cycles.
             detailed_cycles: results
                 .iter()
-                .map(|r| {
-                    if r.fidelity.simulates() {
-                        r.report.detailed_cycles()
-                    } else {
-                        0
-                    }
-                })
+                .filter(|r| r.fidelity.simulates())
+                .map(|r| r.report.cycles)
                 .sum(),
-            escalated: results.iter().filter(|r| r.escalated).count(),
             quarantined: results.iter().filter(|r| r.failed()).count(),
             cancelled: results.iter().filter(|r| r.cancelled()).count(),
             timed_out: results
@@ -1522,7 +1458,6 @@ impl MatrixStats {
         self.cpu_seconds += other.cpu_seconds;
         self.total_cycles += other.total_cycles;
         self.detailed_cycles += other.detailed_cycles;
-        self.escalated += other.escalated;
         self.quarantined += other.quarantined;
         self.cancelled += other.cancelled;
         self.timed_out += other.timed_out;
@@ -1557,7 +1492,7 @@ impl RunnerRecord {
             "    {{\"nuba_jobs\": {}, \"jobs\": {}, \"quarantined\": {}, \
              \"cancelled\": {}, \"timed_out\": {}, \
              \"wall_seconds\": {:.3}, \"cpu_seconds\": {:.3}, \
-             \"total_cycles\": {}, \"detailed_cycles\": {}, \"escalated\": {}, \
+             \"total_cycles\": {}, \"detailed_cycles\": {}, \
              \"cycles_per_sec\": {:.0}, \
              \"store_hits\": {}, \"store_misses\": {}, \"store_inserts\": {}, \
              \"store_write_errors\": {}, \"store_quarantined\": {}, \
@@ -1571,7 +1506,6 @@ impl RunnerRecord {
             self.stats.cpu_seconds,
             self.stats.total_cycles,
             self.stats.detailed_cycles,
-            self.stats.escalated,
             cps,
             self.store.hits,
             self.store.misses,
@@ -1605,7 +1539,6 @@ impl RunnerRecord {
                 detailed_cycles: field("detailed_cycles")
                     .map(|v| v as u64)
                     .unwrap_or(total_cycles),
-                escalated: field("escalated").map(|v| v as usize).unwrap_or(0),
                 // Absent in records written before fault quarantine /
                 // lifecycle outcomes landed.
                 quarantined: field("quarantined").map(|v| v as usize).unwrap_or(0),
@@ -1706,7 +1639,6 @@ mod tests {
             cycles: 400,
             scale: ScaleProfile::fast(),
             seed: 42,
-            fidelity: Fidelity::Full,
         }
     }
 
@@ -1748,7 +1680,6 @@ mod tests {
             cycles: 1600,
             scale: ScaleProfile::fast(),
             seed: 42,
-            fidelity: Fidelity::Full,
         };
         let cfg = GpuConfig::paper_baseline(nuba_types::ArchKind::Nuba);
         let dead = FaultPlan::uniform_link_derate(0.0, cfg.num_sms, cfg.num_llc_slices);
@@ -1969,7 +1900,6 @@ mod tests {
                 cpu_seconds: 40.5,
                 total_cycles: 420_000,
                 detailed_cycles: 60_000,
-                escalated: 1,
                 quarantined: 2,
                 cancelled: 1,
                 timed_out: 1,
@@ -1989,7 +1919,6 @@ mod tests {
         assert_eq!(back.stats.jobs, 7);
         assert_eq!(back.stats.total_cycles, 420_000);
         assert_eq!(back.stats.detailed_cycles, 60_000);
-        assert_eq!(back.stats.escalated, 1);
         assert_eq!(back.stats.cancelled, 1);
         assert_eq!(back.stats.timed_out, 1);
         assert_eq!(back.store.hits, 5);
@@ -2004,7 +1933,6 @@ mod tests {
         let old = RunnerRecord::parse_json_line(legacy).expect("legacy parses");
         assert_eq!((old.stats.cancelled, old.stats.timed_out), (0, 0));
         assert_eq!(old.stats.detailed_cycles, 100);
-        assert_eq!(old.stats.escalated, 0);
         assert_eq!(old.store, StoreStats::default());
     }
 
@@ -2022,7 +1950,6 @@ mod tests {
                 cpu_seconds: wall,
                 total_cycles: 1000,
                 detailed_cycles: 1000,
-                escalated: 0,
                 quarantined: 0,
                 cancelled: 0,
                 timed_out: 0,

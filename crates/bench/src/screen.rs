@@ -1,6 +1,6 @@
 //! Tier-0 analytical screen: the static kernel profiler's predictions
 //! for a benchmark, evaluated through the MDR §5.1 bandwidth equations
-//! — the first rung of the ROADMAP-2 fidelity ladder.
+//! — the first rung of the fidelity ladder.
 //!
 //! The screen simulates nothing. It binds the compiler's
 //! [`KernelStaticProfile`](nuba_compiler::KernelStaticProfile) to the
@@ -120,9 +120,8 @@ impl ScreenPrediction {
     /// Informative means either the memory system clearly keeps up
     /// (utilization under 0.75 — compute-bound, no contested resource)
     /// or one tier is clearly the choke point (the most-utilized tier
-    /// at least 25% above the runner-up *and* past the knee). A
-    /// non-informative screen makes the ladder spend more measurement
-    /// intervals at tier 1.
+    /// at least 25% above the runner-up *and* past the knee). Under
+    /// `auto` a non-informative screen sends the job to full detail.
     pub fn informative(&self) -> bool {
         if self.utilization < 0.75 {
             return true;
@@ -295,7 +294,7 @@ pub fn print_screen_if_enabled(h: &Harness, jobs: &[Job]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nuba_types::{ArchKind, Fidelity};
+    use nuba_types::ArchKind;
 
     fn nuba_cfg() -> GpuConfig {
         GpuConfig::paper_baseline(ArchKind::Nuba)
@@ -315,7 +314,6 @@ mod tests {
             cycles: 100,
             scale: ScaleProfile::fast(),
             seed: 42,
-            fidelity: Fidelity::Full,
         };
         let jobs = vec![
             Job::new("a", BenchmarkId::Sgemm, nuba_cfg()),

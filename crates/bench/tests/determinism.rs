@@ -5,7 +5,7 @@
 use nuba_bench::runner::{run_matrix_with, Job};
 use nuba_bench::Harness;
 use nuba_engine::FaultPlan;
-use nuba_types::{ArchKind, Fidelity, GpuConfig, PagePolicyKind, ReplicationKind};
+use nuba_types::{ArchKind, GpuConfig, PagePolicyKind, ReplicationKind};
 use nuba_workloads::{BenchmarkId, ScaleProfile};
 
 fn harness() -> Harness {
@@ -13,7 +13,6 @@ fn harness() -> Harness {
         cycles: 1500,
         scale: ScaleProfile::fast(),
         seed: 42,
-        fidelity: Fidelity::Full,
     }
 }
 

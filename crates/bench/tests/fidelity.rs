@@ -1,14 +1,21 @@
 //! Fidelity-ladder contracts, enforced through the public runner API:
 //!
-//! 1. tier-1 (sampled) IPC lands inside its own declared [`ErrorBound`]
-//!    of the tier-2 (full) truth for every simcheck config;
+//! 1. the ladder's policy ([`tier0_screen`]) as a table: pin, mode and
+//!    screen in, rung out;
 //! 2. `Fidelity::Full` through the runner is byte-identical to a raw
 //!    simulator run that never touches the ladder (the pre-ladder
 //!    execution recipe);
-//! 3. sampled runs are byte-deterministic across worker counts.
+//! 3. a tier-0 matrix is byte-deterministic across worker counts, costs
+//!    zero detailed cycles and builds no simulator.
 
-use nuba_bench::runner::{run_matrix_with, Job};
-use nuba_bench::{simcheck_configs, Harness};
+use std::cell::Cell;
+
+use nuba_bench::runner::{
+    run_matrix_ctx_with, run_matrix_with, tier0_screen, Job, MatrixStats, RunnerCtx,
+};
+use nuba_bench::screen::{screen_benchmark, ScreenPrediction};
+use nuba_bench::store::{CheckpointStore, StoreConfig, StoreStats};
+use nuba_bench::{simcheck_configs, FidelityMode, Harness};
 use nuba_core::{default_warm_accesses, GpuSimulator};
 use nuba_types::Fidelity;
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
@@ -21,57 +28,51 @@ fn harness() -> Harness {
         cycles: CYCLES,
         scale: ScaleProfile::fast(),
         seed: SEED,
-        fidelity: Fidelity::Full,
     }
 }
 
-/// Tier-1 contract: for every simcheck config, the sampled run's IPC
-/// bound contains the full run's truth, while spending a fraction of
-/// the detailed cycles. This is the same pairing `fig_fidelity` gates
-/// in CI, pinned here at the fast scale so `cargo test` covers it.
+/// A real screen bent to one side of `informative()`: a memory system
+/// that keeps up (utilization 0.1) is decisive; an over-subscribed one
+/// whose three tiers tie is not.
+fn screen(informative: bool) -> ScreenPrediction {
+    let (_, cfg) = &simcheck_configs()[4];
+    let mut s = screen_benchmark(BenchmarkId::Kmeans, &ScaleProfile::fast(), cfg);
+    s.utilization = if informative { 0.1 } else { 2.0 };
+    for l in &mut s.links {
+        l.demand_bpc = 2.0 * l.supply_bpc;
+    }
+    assert_eq!(s.informative(), informative);
+    s
+}
+
+/// The whole `auto` policy, without the environment: a pin wins over
+/// the mode, a fixed mode passes through, and `auto` follows the
+/// screen. The screen is evaluated only when the answer or the tier-0
+/// report needs it.
 #[test]
-fn sampled_bound_covers_full_truth_on_every_simcheck_config() {
-    let h = harness();
-    let configs = simcheck_configs();
-    assert_eq!(configs.len(), 11, "simcheck config roster changed");
-
-    let sampled_jobs: Vec<Job> = configs
-        .iter()
-        .map(|(name, cfg)| {
-            Job::new(format!("{name}/sampled"), BenchmarkId::Kmeans, cfg.clone())
-                .with_fidelity(Fidelity::sampled_default())
-        })
-        .collect();
-    let full_jobs: Vec<Job> = configs
-        .iter()
-        .map(|(name, cfg)| {
-            Job::new(format!("{name}/full"), BenchmarkId::Kmeans, cfg.clone())
-                .with_fidelity(Fidelity::Full)
-        })
-        .collect();
-
-    let sampled = run_matrix_with(&h, &sampled_jobs, 4);
-    let full = run_matrix_with(&h, &full_jobs, 4);
-
-    for (s, f) in sampled.iter().zip(&full) {
-        assert_eq!(s.fidelity.tier(), 1, "{}: not a tier-1 report", s.label);
-        assert_eq!(f.fidelity.tier(), 2, "{}: not a tier-2 report", f.label);
-        let truth = f.report.perf();
-        let bound = s.report.ipc_bound();
-        assert!(
-            bound.contains(truth),
-            "{}: tier-2 truth {:.4} outside tier-1 bound [{:.4}, {:.4}]",
-            s.label,
-            truth,
-            bound.lo(),
-            bound.hi()
-        );
-        let detail = s.report.detailed_cycles();
-        assert!(
-            detail < CYCLES,
-            "{}: sampled run spent {detail} detailed cycles on a {CYCLES}-cycle window",
-            s.label
-        );
+fn rung_is_a_function_of_pin_mode_and_screen() {
+    use Fidelity::{Analytical, Full};
+    use FidelityMode::{Auto, Fixed};
+    // (pin, mode, screen informative?) → (rung, screen evaluations)
+    let table = [
+        (Some(Full), Auto, true, Full, 0),
+        (Some(Full), Fixed(Analytical), true, Full, 0),
+        (Some(Analytical), Auto, false, Analytical, 1),
+        (Some(Analytical), Fixed(Full), false, Analytical, 1),
+        (None, Fixed(Full), true, Full, 0),
+        (None, Fixed(Analytical), false, Analytical, 1),
+        (None, Auto, true, Analytical, 1),
+        (None, Auto, false, Full, 1),
+    ];
+    for (pin, mode, informative, rung, evaluations) in table {
+        let calls = Cell::new(0);
+        let handed_on = tier0_screen(pin, mode, || {
+            calls.set(calls.get() + 1);
+            screen(informative)
+        });
+        let case = format!("pin {pin:?}, mode {mode:?}, informative {informative}");
+        assert_eq!(handed_on.is_some(), rung == Analytical, "{case}");
+        assert_eq!(calls.get(), evaluations, "{case}");
     }
 }
 
@@ -98,40 +99,57 @@ fn full_fidelity_matches_ladder_free_simulation() {
     let truth = gpu.run(CYCLES).expect("full run");
 
     assert_eq!(results[0].fidelity, Fidelity::Full);
-    assert!(!results[0].escalated);
     assert_eq!(
         results[0].report, truth,
         "Fidelity::Full diverged from the ladder-free simulation path"
     );
 }
 
-/// Tier-1 determinism: sampled extrapolation is integer ratio-of-sums,
-/// so a sampled matrix must be byte-identical at any worker count.
+/// Tier-0 contract: an analytical matrix over the simcheck configs is
+/// the same serial and on 4 workers, charges nothing to
+/// `MatrixStats::detailed_cycles`, and never builds a simulator — a
+/// built one would look its warm state up in the context's store and
+/// publish it, as the full job run afterwards through the same context
+/// does.
 #[test]
-fn sampled_matrix_is_deterministic_across_worker_counts() {
-    let h = Harness {
-        cycles: 8_000,
-        ..harness()
-    };
-    let configs = simcheck_configs();
-    let mut jobs = Vec::new();
-    for &b in &[BenchmarkId::Kmeans, BenchmarkId::Mvt] {
-        for (name, cfg) in configs.iter().take(4) {
-            jobs.push(
-                Job::new(format!("{b}/{name}"), b, cfg.clone())
-                    .with_fidelity(Fidelity::sampled_default()),
-            );
-        }
+fn tier0_matrix_is_deterministic_free_and_builds_no_simulator() {
+    let h = harness();
+    let jobs: Vec<Job> = simcheck_configs()
+        .into_iter()
+        .map(|(name, cfg)| {
+            Job::new(name, BenchmarkId::Kmeans, cfg).with_fidelity(Fidelity::Analytical)
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("nuba_tier0_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ctx = RunnerCtx::with_store(
+        CheckpointStore::open(StoreConfig {
+            dir: Some(dir.clone()),
+            ..StoreConfig::default()
+        })
+        .expect("store opens"),
+    );
+
+    let serial = run_matrix_ctx_with(&ctx, &h, &jobs, 1);
+    let parallel = run_matrix_ctx_with(&ctx, &h, &jobs, 4);
+    assert_eq!(serial.len(), 11, "simcheck config roster changed");
+    for (s, p) in serial.iter().zip(&parallel) {
+        assert_eq!(s.fidelity, Fidelity::Analytical, "{}", s.label);
+        assert_eq!(s.report.cycles, CYCLES, "{}", s.label);
+        assert_eq!(s.report, p.report, "{}: serial vs 4 workers", s.label);
     }
-    let serial = run_matrix_with(&h, &jobs, 1);
-    let parallel = run_matrix_with(&h, &jobs, 4);
-    for ((s, p), job) in serial.iter().zip(&parallel).zip(&jobs) {
-        assert_eq!(s.label, job.label);
-        assert_eq!(
-            s.report, p.report,
-            "sampled job `{}` diverged between serial and parallel execution",
-            job.label
-        );
-        assert!(s.report.sampled_meta().is_some(), "{}: no meta", s.label);
-    }
+    let stats = MatrixStats::of(&serial);
+    assert_eq!(stats.total_cycles, 11 * CYCLES);
+    assert_eq!(stats.detailed_cycles, 0);
+    let store = ctx.store().expect("store-backed context");
+    assert_eq!(store.stats(), StoreStats::default());
+
+    let full = jobs[4].clone().with_fidelity(Fidelity::Full);
+    let r = run_matrix_ctx_with(&ctx, &h, std::slice::from_ref(&full), 1);
+    assert_eq!(MatrixStats::of(&r).detailed_cycles, CYCLES);
+    assert!(
+        store.stats().inserts > 0,
+        "a built simulator shows in the store"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,6 @@ use nuba_bench::screen::{print_screen_if_enabled, screen_benchmark};
 use nuba_bench::{Harness, HarnessOptions};
 use nuba_driver::PageTable;
 use nuba_types::addr::PageNum;
-use nuba_types::Fidelity;
 use nuba_types::{AccessKind, ArchKind, ChannelId, GpuConfig, PartitionId, SmId, WarpId};
 use nuba_workloads::{BenchmarkId, ScaleProfile, WarpOp, Workload};
 
@@ -140,7 +139,6 @@ fn screen_is_off_by_default() {
         cycles: 100,
         scale: ScaleProfile::fast(),
         seed: 42,
-        fidelity: Fidelity::Full,
     };
     // Inert even on an empty matrix — must not panic or print.
     print_screen_if_enabled(&h, &[]);

@@ -7,7 +7,7 @@
 use nuba_bench::runner::{reset_warm_cache, run_matrix_ctx_with, run_matrix_with, Job, RunnerCtx};
 use nuba_bench::store::{CheckpointStore, StoreConfig};
 use nuba_bench::Harness;
-use nuba_types::{ArchKind, Fidelity, GpuConfig, PagePolicyKind, ReplicationKind};
+use nuba_types::{ArchKind, GpuConfig, PagePolicyKind, ReplicationKind};
 use nuba_workloads::{BenchmarkId, ScaleProfile};
 
 fn harness() -> Harness {
@@ -15,7 +15,6 @@ fn harness() -> Harness {
         cycles: 1200,
         scale: ScaleProfile::fast(),
         seed: 42,
-        fidelity: Fidelity::Full,
     }
 }
 

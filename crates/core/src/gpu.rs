@@ -103,13 +103,9 @@ pub struct GpuSimulator {
     // Event-driven time skipping (config, not saved state): `run`
     // jumps over provably-idle spans instead of stepping them.
     skip: bool,
-    // Sampled-fidelity quiesce (config, not saved state): while paused
-    // the SMs issue nothing, so in-flight work drains and the skip
-    // engine can jump the idle remainder of a fast-forward gap.
-    issue_paused: bool,
-    // Cycles actually executed by `step()` (bookkeeping, not saved
-    // state and not part of any report equality): the "detailed work"
-    // measure behind the fidelity ladder's cost accounting.
+    // Cycles actually executed by `step()` as opposed to skipped
+    // (bookkeeping, not saved state and not part of any report
+    // equality).
     detail_steps: u64,
     // Forward-progress watchdog (None disables it).
     watchdog_budget: Option<u64>,
@@ -368,7 +364,6 @@ impl GpuSimulator {
             tracker,
             faults: None,
             skip: skip_by_default(),
-            issue_paused: false,
             detail_steps: 0,
             watchdog_budget: cfg.watchdog_cycles,
             last_progress_cycle: 0,
@@ -437,28 +432,10 @@ impl GpuSimulator {
         self.skip = skip;
     }
 
-    /// Quiesce (or resume) SM instruction issue. While paused the
-    /// machine still ticks — in-flight requests, translations and DRAM
-    /// traffic drain normally — but no new work enters the pipeline, so
-    /// the machine becomes provably idle and the skip engine can jump
-    /// the remainder of a fast-forward gap in O(1). The sampled-fidelity
-    /// engine ([`crate::sampled`]) drives this; it is not saved state
-    /// and has no effect on a run that never pauses.
-    pub fn set_issue_paused(&mut self, paused: bool) {
-        self.issue_paused = paused;
-    }
-
-    /// Whether SM instruction issue is currently quiesced.
-    pub fn issue_paused(&self) -> bool {
-        self.issue_paused
-    }
-
-    /// Cycles actually executed by [`step`](Self::step) so far — the
-    /// "detailed work" the fidelity ladder accounts. On a full run with
-    /// time skipping this undercounts wall cycles (skipped spans are
-    /// exact, not approximated, so they are still *full-fidelity*
-    /// cycles); the ladder therefore charges full runs `report.cycles`
-    /// and sampled runs the delta of this counter. Not saved state and
+    /// Cycles actually executed by [`step`](Self::step) so far. With
+    /// time skipping this is below the clock: skipped spans are exact,
+    /// not approximated, so the gap measures how much of the window the
+    /// skip engine jumped, not a loss of fidelity. Not saved state and
     /// not part of any report equality.
     pub fn detail_steps(&self) -> u64 {
         self.detail_steps
@@ -667,16 +644,10 @@ impl GpuSimulator {
         if next == Some(now) {
             return next;
         }
-        // With issue quiesced, a Ready or compute-complete warp is not
-        // an event — it cannot issue — so the SM scan would pin the
-        // machine "busy" forever and defeat fast-forward jumps. Warp
-        // wake-ups are replayed when issue resumes.
-        if !self.issue_paused {
-            for sm in &self.sms {
-                next = earliest(next, sm.next_event_cycle(now));
-                if next == Some(now) {
-                    return next;
-                }
+        for sm in &self.sms {
+            next = earliest(next, sm.next_event_cycle(now));
+            if next == Some(now) {
+                return next;
             }
         }
         for s in &self.slices {
@@ -856,118 +827,6 @@ impl GpuSimulator {
         }
     }
 
-    /// SMARTS-style functional fast-forward: consume `ops` warp
-    /// operations across the machine with zero timing, touching the
-    /// architectural state a detailed run would have warmed — the page
-    /// table (first-touch faults and driver placement), the page access
-    /// counters behind the LAB / migration / replication policies, L1
-    /// and LLC tag arrays, replica installs, and the MDR profiler.
-    /// Queues, MSHRs, links, statistics, and the clock are untouched:
-    /// no cycles pass and nothing is counted. The sampled runner calls
-    /// this through fast-forwarded gaps so measurement bursts observe
-    /// steady-state cache and placement behaviour instead of
-    /// re-measuring the cold-start ramp.
-    pub fn advance_functional(&mut self, ops: u64) {
-        let page_bytes = self.cfg.page_bytes;
-        let n_parts = self.cfg.num_partitions();
-        let n_sms = self.sms.len();
-        let active_warps = self.cfg.sim_active_warps.min(self.cfg.warps_per_sm).max(1);
-        let now = self.cycle;
-        let slots = (active_warps * n_sms) as u64;
-        let mut left = ops;
-        let mut round: u64 = 0;
-        while left > 0 {
-            // Warp-major round-robin, matching `warm`'s interleaving of
-            // concurrent execution — except that each slot advances at
-            // a slightly different rate (between 1 and 2 ops per round,
-            // Bresenham-spread). Real detailed execution desynchronizes
-            // warp phases through reply-latency jitter, and overlapping
-            // phases is worth ~2x throughput on streaming benchmarks;
-            // a uniform walk would freeze the warps in lockstep and the
-            // next measurement burst would re-measure the convoy ramp.
-            for w in 0..active_warps {
-                for i in 0..n_sms {
-                    if left == 0 {
-                        return;
-                    }
-                    // Fibonacci-hash the slot index so *neighbouring*
-                    // warps (same link, same slice) get maximally
-                    // different rates and decorrelate fastest.
-                    let k =
-                        ((w * n_sms + i) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % slots + 1;
-                    let take = 1 + ((round + 1) * k / slots - round * k / slots);
-                    for _ in 0..take.min(left) {
-                        left -= 1;
-                        let Some(access) = self.sms[i].warm_pop(w) else {
-                            continue; // a compute block: nothing to touch
-                        };
-                        self.touch_functional(SmId(i), access, now, page_bytes, n_parts);
-                    }
-                }
-            }
-            round += 1;
-        }
-    }
-
-    /// Touch the memory hierarchy for one functionally-executed access
-    /// (see [`advance_functional`](GpuSimulator::advance_functional)),
-    /// mirroring the detailed routing: L1 for non-bypass reads, then
-    /// the slice-side address inspector (local home, replica, or the
-    /// line's home slice).
-    fn touch_functional(
-        &mut self,
-        sm: SmId,
-        access: nuba_workloads::Access,
-        now: u64,
-        page_bytes: u64,
-        n_parts: usize,
-    ) {
-        let vpage = access.vaddr.page(page_bytes);
-        let part = self.topo.partition_of_sm(sm);
-        if !self.driver.table().is_mapped(vpage) {
-            self.driver.handle_fault(vpage, part, sm);
-        }
-        let Some(t) = self.driver.translate(vpage, part) else {
-            return;
-        };
-        let paddr = self
-            .mapping
-            .compose(t.channel, t.frame, access.vaddr.page_offset(page_bytes));
-        let d = self.mapping.decode(paddr);
-        let line = paddr.line();
-        let dirty = matches!(access.kind, AccessKind::Store | AccessKind::Atomic);
-        if !dirty && !access.bypass_l1 && self.sms[sm.0].warm_l1_touch(line, now) {
-            return; // L1 hit: nothing below the SM sees it.
-        }
-        let home = d.home_slice;
-        if self.local_req.is_some() {
-            // NUBA: the partition-local inspector sees every request.
-            let slice = self.topo.local_slice(sm, &d);
-            let local_home = self.topo.is_local(sm, &d);
-            self.slices[slice.0].note_local_sm_request(
-                line,
-                local_home,
-                access.kind.is_read_only(),
-            );
-            if local_home {
-                self.slices[slice.0].warm_touch(line, dirty, false, now);
-                self.note_access(vpage, sm, n_parts);
-                return;
-            }
-            if access.kind.is_read_only() && self.slices[slice.0].replicating() {
-                // Replica probe; a miss installs both the local replica
-                // and the home copy, as the detailed round trip would.
-                if !self.slices[slice.0].warm_touch(line, false, true, now) {
-                    self.slices[home.0].warm_touch(line, false, false, now);
-                }
-                self.note_access(vpage, sm, n_parts);
-                return;
-            }
-        }
-        self.slices[home.0].warm_touch(line, dirty, false, now);
-        self.note_access(vpage, sm, n_parts);
-    }
-
     /// Convenience: warm up, then run the timed window.
     ///
     /// # Errors
@@ -1026,9 +885,7 @@ impl GpuSimulator {
         }
 
         self.tick_mmu(c);
-        if !self.issue_paused {
-            self.issue_sms(c);
-        }
+        self.issue_sms(c);
         if self.cfg.arch.is_nuba() {
             self.tick_local_request_links(c);
         }
@@ -1945,7 +1802,6 @@ impl GpuSimulator {
                 tiers: *self.telemetry.tier_histograms(),
                 stages: *self.telemetry.stage_histograms(),
             },
-            sampled: None,
         }
     }
 }

@@ -42,7 +42,6 @@ pub mod gpu;
 pub mod llc;
 pub mod mdr;
 pub mod metrics;
-pub mod sampled;
 pub mod session;
 pub mod sm;
 pub mod telemetry;
@@ -56,8 +55,7 @@ pub use mdr::{
     evaluate as mdr_evaluate, static_screen as mdr_static_screen, MdrBandwidths, MdrController,
     MdrEstimate, MdrProfile, ScreenBottleneck, ScreenVerdict,
 };
-pub use metrics::{BottleneckBreakdown, LatencyReport, SampledMeta, SimReport};
-pub use sampled::{run_sampled, SamplePlan};
+pub use metrics::{BottleneckBreakdown, LatencyReport, SimReport};
 pub use session::{default_warm_accesses, Checkpoint, SessionBuilder, SimSession};
 pub use sm::{Sm, SmParams, SmStats, StallReason};
 pub use telemetry::{
@@ -66,5 +64,5 @@ pub use telemetry::{
 };
 
 // Re-exports for downstream convenience (bench harness, examples).
-pub use nuba_types::{ArchKind, ErrorBound, Fidelity, GpuConfig, PagePolicyKind, ReplicationKind};
+pub use nuba_types::{ArchKind, GpuConfig, PagePolicyKind, ReplicationKind};
 pub use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};

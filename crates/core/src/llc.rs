@@ -456,25 +456,6 @@ impl LlcSlice {
         }
     }
 
-    /// Functional warming: probe the tag array and install the line on
-    /// a miss, with zero timing — no queues, MSHRs, replies, writeback
-    /// traffic, or statistics. Returns whether the line was already
-    /// resident. An offline slice stays cold, as it would detailed.
-    pub fn warm_touch(&mut self, line: LineAddr, dirty: bool, replica: bool, now: u64) -> bool {
-        if self.offline {
-            return false;
-        }
-        if self.tags.probe_and_touch(line, now) {
-            if dirty {
-                self.tags.mark_dirty(line);
-            }
-            true
-        } else {
-            let _ = self.tags.insert(line, dirty, replica, now);
-            false
-        }
-    }
-
     /// A DRAM fill returned for `line`: install it and wake waiters.
     /// While the slice is offline the install is skipped (sets reject
     /// fills) but waiters still complete — requests are never lost.

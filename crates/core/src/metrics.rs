@@ -1,36 +1,9 @@
 //! Simulation reports: the metrics the paper's figures are built from.
 
-use nuba_types::{ErrorBound, Fidelity, Histogram, LatencySummary, LINE_BYTES};
+use nuba_types::{Histogram, LatencySummary};
 
 use crate::energy::EnergyReport;
 use crate::telemetry::{NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES};
-
-/// Sampling metadata attached to a tier-1 ([`Fidelity::Sampled`])
-/// report: what was measured, what it cost, and the error bounds the
-/// extrapolation carries. Absent (`None`) on full-fidelity runs, which
-/// keeps [`SimReport`] equality — and therefore every byte-identity
-/// contract — unchanged for tier 2.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampledMeta {
-    /// The fidelity the run executed at (always `Fidelity::Sampled`,
-    /// with the resolved interval parameters).
-    pub(crate) fidelity: Fidelity,
-    /// Measurement intervals actually taken.
-    pub(crate) intervals: u32,
-    /// Cycles simulated in detail (measurement intervals plus drain
-    /// phases) — the cost the fidelity ladder accounts.
-    pub(crate) detail_cycles: u64,
-    /// Cycles inside measurement intervals (the extrapolation basis).
-    pub(crate) measured_cycles: u64,
-    /// IPC (warp ops per cycle) with its confidence interval.
-    pub(crate) ipc: ErrorBound,
-    /// NUBA local-link bytes per cycle with its confidence interval.
-    pub(crate) local_link_bpc: ErrorBound,
-    /// NoC bytes per cycle with its confidence interval.
-    pub(crate) noc_bpc: ErrorBound,
-    /// DRAM bytes per cycle with its confidence interval.
-    pub(crate) dram_bpc: ErrorBound,
-}
 
 /// Deterministic read-latency distributions carried by [`SimReport`]:
 /// end-to-end latency split by bandwidth tier (always populated) and
@@ -166,12 +139,6 @@ pub struct SimReport {
     pub energy: EnergyReport,
     /// Read-latency distributions (per bandwidth tier and per stage).
     pub latency: LatencyReport,
-    /// Sampling metadata (`Some` only on tier-1 extrapolated reports).
-    /// Crate-private by design: read it through the accessors
-    /// ([`sampled_meta`](SimReport::sampled_meta),
-    /// [`ipc_bound`](SimReport::ipc_bound), …) so the field layout can
-    /// evolve without breaking callers.
-    pub(crate) sampled: Option<SampledMeta>,
 }
 
 /// Top-down cycle-accounting shares from `SimReport::bottleneck_breakdown`
@@ -328,85 +295,6 @@ impl SimReport {
                 rest_j: 0.0,
             },
             latency: LatencyReport::default(),
-            sampled: None,
-        }
-    }
-
-    /// Sampling metadata, present only on tier-1 extrapolated reports.
-    pub fn sampled_meta(&self) -> Option<&SampledMeta> {
-        self.sampled.as_ref()
-    }
-
-    /// Whether this report was extrapolated from sampled intervals
-    /// (tier 1) rather than fully simulated.
-    pub fn is_sampled(&self) -> bool {
-        self.sampled.is_some()
-    }
-
-    /// The fidelity this report was produced at.
-    pub fn fidelity(&self) -> Fidelity {
-        self.sampled.map_or(Fidelity::Full, |s| s.fidelity)
-    }
-
-    /// IPC (warp ops per cycle) with its confidence interval: the
-    /// declared [`ErrorBound`] on sampled reports, exact on full ones.
-    pub fn ipc_bound(&self) -> ErrorBound {
-        self.sampled
-            .map_or_else(|| ErrorBound::exact(self.perf()), |s| s.ipc)
-    }
-
-    /// NUBA local-link bytes per cycle with its confidence interval.
-    pub fn local_link_bandwidth_bound(&self) -> ErrorBound {
-        self.sampled.map_or_else(
-            || ErrorBound::exact(self.per_cycle(self.local_link_bytes)),
-            |s| s.local_link_bpc,
-        )
-    }
-
-    /// NoC bytes per cycle with its confidence interval.
-    pub fn noc_bandwidth_bound(&self) -> ErrorBound {
-        self.sampled.map_or_else(
-            || ErrorBound::exact(self.per_cycle(self.noc_bytes)),
-            |s| s.noc_bpc,
-        )
-    }
-
-    /// DRAM bytes per cycle with its confidence interval.
-    pub fn dram_bandwidth_bound(&self) -> ErrorBound {
-        self.sampled.map_or_else(
-            || ErrorBound::exact(self.per_cycle(self.dram_accesses * LINE_BYTES)),
-            |s| s.dram_bpc,
-        )
-    }
-
-    /// The bandwidth-tier bounds as `(name, bound)` pairs, in fixed
-    /// display order (local link, NoC, DRAM).
-    pub fn tier_bandwidth_bounds(&self) -> [(&'static str, ErrorBound); 3] {
-        [
-            ("local_link", self.local_link_bandwidth_bound()),
-            ("noc", self.noc_bandwidth_bound()),
-            ("dram", self.dram_bandwidth_bound()),
-        ]
-    }
-
-    /// Cycles simulated in detail: `cycles` on full-fidelity runs
-    /// (event-driven time skipping is exact, not a fidelity reduction),
-    /// the measured detail cost on sampled runs. The numerator of the
-    /// ladder's "detail work saved" accounting.
-    pub fn detailed_cycles(&self) -> u64 {
-        self.sampled.map_or(self.cycles, |s| s.detail_cycles)
-    }
-
-    /// Measurement intervals taken (0 on full-fidelity runs).
-    pub fn sample_intervals(&self) -> u32 {
-        self.sampled.map_or(0, |s| s.intervals)
-    }
-
-    fn per_cycle(&self, count: u64) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            count as f64 / self.cycles as f64
         }
     }
 
@@ -522,7 +410,6 @@ mod tests {
                 rest_j: 9.0,
             },
             latency: LatencyReport::default(),
-            sampled: None,
         }
     }
 
@@ -605,46 +492,5 @@ mod tests {
         assert!((b.sum() - 1.0).abs() < 1e-9);
         assert!((b.llc_queue_bound - 0.75).abs() < 1e-12);
         assert_eq!(b.dominant().0, "LLC-queue-bound");
-    }
-
-    #[test]
-    fn full_report_bounds_are_exact() {
-        let r = report(1000, 500);
-        assert!(!r.is_sampled());
-        assert_eq!(r.fidelity(), Fidelity::Full);
-        assert_eq!(r.detailed_cycles(), 1000);
-        assert_eq!(r.sample_intervals(), 0);
-        let ipc = r.ipc_bound();
-        assert_eq!(ipc.half_width, 0.0);
-        assert!((ipc.mean - 0.5).abs() < 1e-12);
-        let [(_, local), (_, noc), (_, dram)] = r.tier_bandwidth_bounds();
-        assert!((local.mean - 2.0).abs() < 1e-12);
-        assert!((noc.mean - 1.0).abs() < 1e-12);
-        assert!((dram.mean - 20.0 * 128.0 / 1000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_report_exposes_declared_bounds() {
-        let mut r = report(1000, 500);
-        r.sampled = Some(SampledMeta {
-            fidelity: Fidelity::Sampled {
-                intervals: 4,
-                detail_cycles: 50,
-            },
-            intervals: 4,
-            detail_cycles: 260,
-            measured_cycles: 200,
-            ipc: ErrorBound::new(0.5, 0.05),
-            local_link_bpc: ErrorBound::new(2.0, 0.4),
-            noc_bpc: ErrorBound::new(1.0, 0.2),
-            dram_bpc: ErrorBound::new(2.56, 0.5),
-        });
-        assert!(r.is_sampled());
-        assert_eq!(r.fidelity().tier(), 1);
-        assert_eq!(r.detailed_cycles(), 260);
-        assert_eq!(r.sample_intervals(), 4);
-        assert!(r.ipc_bound().contains(0.52));
-        assert!(!r.ipc_bound().contains(0.6));
-        assert_eq!(r.noc_bandwidth_bound().half_width, 0.2);
     }
 }

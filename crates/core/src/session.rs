@@ -40,7 +40,7 @@ use nuba_types::state::{
     fnv1a, restore_vec, SaveState, StateError, StateReader, StateValue, StateWriter,
     STATE_FORMAT_VERSION,
 };
-use nuba_types::{Fidelity, GpuConfig};
+use nuba_types::GpuConfig;
 use nuba_workloads::Workload;
 
 use crate::error::SimError;
@@ -291,7 +291,6 @@ pub struct SessionBuilder {
     cfg: GpuConfig,
     workload: Workload,
     warm_accesses: Option<usize>,
-    fidelity: Fidelity,
 }
 
 impl SessionBuilder {
@@ -299,19 +298,6 @@ impl SessionBuilder {
     /// [`default_warm_accesses`]).
     pub fn warm_accesses(mut self, accesses_per_warp: usize) -> SessionBuilder {
         self.warm_accesses = Some(accesses_per_warp);
-        self
-    }
-
-    /// Set the execution fidelity for [`SimSession::run_window`]
-    /// (default [`Fidelity::Full`]). `Fidelity` is a property of how a
-    /// run is executed, not of the simulated machine — it never
-    /// touches `GpuConfig`, `state_hash`, or the checkpoint format.
-    ///
-    /// [`Fidelity::Analytical`] does not simulate at all; sessions
-    /// clamp it to `Full` (producing an analytical prediction needs
-    /// the benchmark's screen profile, which the harness owns).
-    pub fn fidelity(mut self, fidelity: Fidelity) -> SessionBuilder {
-        self.fidelity = fidelity;
         self
     }
 
@@ -328,7 +314,6 @@ impl SessionBuilder {
         Ok(SimSession {
             workload: self.workload,
             warm_accesses,
-            fidelity: self.fidelity,
             gpu,
         })
     }
@@ -343,7 +328,6 @@ impl SessionBuilder {
 pub struct SimSession {
     workload: Workload,
     warm_accesses: usize,
-    fidelity: Fidelity,
     gpu: GpuSimulator,
 }
 
@@ -354,7 +338,6 @@ impl SimSession {
             cfg,
             workload,
             warm_accesses: None,
-            fidelity: Fidelity::Full,
         }
     }
 
@@ -384,7 +367,6 @@ impl SimSession {
         Ok(SimSession {
             workload,
             warm_accesses,
-            fidelity: Fidelity::Full,
             gpu,
         })
     }
@@ -395,37 +377,13 @@ impl SimSession {
         self.gpu.warm(&self.workload, self.warm_accesses);
     }
 
-    /// Run a timed window of `cycles` cycles at the session's fidelity
-    /// and report. [`Fidelity::Full`] (the default) is the exact
-    /// cycle-accurate run, byte-identical to a session with no
-    /// fidelity set; [`Fidelity::Sampled`] runs the SMARTS-style
-    /// sampled schedule (see [`crate::sampled`]) and returns an
-    /// extrapolated report carrying error bounds.
+    /// Run a timed window of `cycles` cycles and report.
     ///
     /// # Errors
     /// [`SimError::NoForwardProgress`] if the watchdog fires during the
-    /// window (or during a sampled run's detailed phases).
+    /// window.
     pub fn run_window(&mut self, cycles: u64) -> Result<SimReport, SimError> {
-        match self.fidelity {
-            Fidelity::Sampled {
-                intervals,
-                detail_cycles,
-            } => crate::sampled::run_sampled(&mut self.gpu, cycles, intervals, detail_cycles),
-            // Analytical never reaches a session (the harness screens
-            // without building one); clamp to the exact run.
-            Fidelity::Analytical | Fidelity::Full => self.gpu.run(cycles),
-        }
-    }
-
-    /// The fidelity [`run_window`](Self::run_window) executes at.
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
-    }
-
-    /// Change the fidelity for subsequent windows (e.g. a runner
-    /// escalating a resumed session from sampled to full).
-    pub fn set_fidelity(&mut self, fidelity: Fidelity) {
-        self.fidelity = fidelity;
+        self.gpu.run(cycles)
     }
 
     /// Snapshot the current state (see [`GpuSimulator::checkpoint`]).

@@ -306,36 +306,6 @@ impl Sm {
         self.l1_mshr.take_peak()
     }
 
-    /// Functional warming: consume the warp's next stream op with zero
-    /// timing. Compute blocks are consumed silently; memory accesses
-    /// are returned for the owning simulator to touch the hierarchy. A
-    /// stalled pending access is consumed first so the stream never
-    /// skips it. Warp scheduling state, outstanding counts, and
-    /// statistics are untouched.
-    pub fn warm_pop(&mut self, warp: usize) -> Option<Access> {
-        let w = self.warps.get_mut(warp)?;
-        if let Some(a) = w.pending.take() {
-            return Some(a);
-        }
-        match w.stream.next_op() {
-            WarpOp::Compute(_) => None,
-            WarpOp::Mem(a) => Some(a),
-        }
-    }
-
-    /// Functional warming: probe the L1 and install the line on a miss,
-    /// with zero timing and no statistics. Returns whether the line was
-    /// already resident.
-    pub fn warm_l1_touch(&mut self, line: LineAddr, now: u64) -> bool {
-        if self.l1.probe_and_touch(line, now) {
-            true
-        } else {
-            // Write-through, write-no-allocate L1: fills are never dirty.
-            let _ = self.l1.insert(line, false, false, now);
-            false
-        }
-    }
-
     /// Commit a load miss: allocate/merge the MSHR. Returns `true` if a
     /// downstream request must be sent (primary miss).
     ///

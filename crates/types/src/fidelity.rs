@@ -1,17 +1,15 @@
 //! The fidelity ladder: how much cycle-level detail a run spends.
 //!
-//! The harness executes every job at one of three rungs:
+//! The harness executes every job at one of two rungs:
 //!
 //! - [`Fidelity::Analytical`] — tier 0: no simulation at all; the
 //!   analytical screen (MDR bandwidth equations plus a roofline bound)
-//!   predicts the bottleneck and an IPC band.
-//! - [`Fidelity::Sampled`] — tier 1: SMARTS-style sampled simulation.
-//!   The run alternates short detailed measurement intervals with
-//!   fast-forward gaps (issue quiesced, the event-driven skip engine
-//!   jumps the idle remainder), then extrapolates interval statistics
-//!   to a full-run report carrying an [`ErrorBound`].
+//!   predicts the bottleneck and an IPC band, an [`ErrorBound`].
 //! - [`Fidelity::Full`] — tier 2: full cycle-accurate simulation,
 //!   byte-identical to a run without the ladder.
+//!
+//! (The numbering keeps a gap: tier 1 was a sampled rung, removed once
+//! measured — DESIGN.md §17.)
 //!
 //! `Fidelity` deliberately lives *outside* [`GpuConfig`](crate::GpuConfig):
 //! it describes how a run is executed, not what machine is simulated, so
@@ -20,61 +18,22 @@
 use std::fmt;
 use std::str::FromStr;
 
-/// Default number of measurement intervals for [`Fidelity::Sampled`]
-/// when unspecified (`NUBA_FIDELITY=sampled`).
-pub const DEFAULT_SAMPLE_INTERVALS: u32 = 4;
-
 /// Execution fidelity for one simulation job. See the module docs for
 /// the ladder contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fidelity {
     /// Tier 0: analytical screen only, no cycle-level simulation.
     Analytical,
-    /// Tier 1: SMARTS-style sampled simulation with extrapolation.
-    Sampled {
-        /// Number of detailed measurement intervals spread across the
-        /// run window (0 means the engine default).
-        intervals: u32,
-        /// Detailed cycles per measurement interval (0 means auto:
-        /// derived from the interval span).
-        detail_cycles: u64,
-    },
     /// Tier 2: full cycle-accurate simulation (the default).
     #[default]
     Full,
 }
 
 impl Fidelity {
-    /// The default sampled configuration (engine-chosen interval count
-    /// and detail length).
-    #[must_use]
-    pub fn sampled_default() -> Fidelity {
-        Fidelity::Sampled {
-            intervals: 0,
-            detail_cycles: 0,
-        }
-    }
-
     /// Whether this fidelity runs the cycle-level simulator at all.
     #[must_use]
     pub fn simulates(self) -> bool {
         !matches!(self, Fidelity::Analytical)
-    }
-
-    /// Whether this fidelity produces an exact (non-extrapolated) report.
-    #[must_use]
-    pub fn is_exact(self) -> bool {
-        matches!(self, Fidelity::Full)
-    }
-
-    /// Ladder rung index (0 = analytical, 1 = sampled, 2 = full).
-    #[must_use]
-    pub fn tier(self) -> u8 {
-        match self {
-            Fidelity::Analytical => 0,
-            Fidelity::Sampled { .. } => 1,
-            Fidelity::Full => 2,
-        }
     }
 }
 
@@ -82,14 +41,6 @@ impl fmt::Display for Fidelity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Fidelity::Analytical => write!(f, "analytical"),
-            Fidelity::Sampled {
-                intervals: 0,
-                detail_cycles: 0,
-            } => write!(f, "sampled"),
-            Fidelity::Sampled {
-                intervals,
-                detail_cycles,
-            } => write!(f, "sampled:{intervals}x{detail_cycles}"),
             Fidelity::Full => write!(f, "full"),
         }
     }
@@ -103,7 +54,7 @@ impl fmt::Display for ParseFidelityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "invalid fidelity {:?} (expected analytical | sampled[:NxM] | full)",
+            "invalid fidelity {:?} (expected analytical | full)",
             self.0
         )
     }
@@ -114,46 +65,25 @@ impl std::error::Error for ParseFidelityError {}
 impl FromStr for Fidelity {
     type Err = ParseFidelityError;
 
-    /// Parses `analytical`, `full`, `sampled`, or `sampled:NxM` where
-    /// `N` is the interval count and `M` the detailed cycles per
-    /// interval (either may be 0 for the engine default).
+    /// Parses `analytical` or `full`.
     fn from_str(s: &str) -> Result<Fidelity, ParseFidelityError> {
-        let t = s.trim();
-        match t {
-            "analytical" | "screen" | "0" => return Ok(Fidelity::Analytical),
-            "full" | "2" => return Ok(Fidelity::Full),
-            "sampled" | "1" => return Ok(Fidelity::sampled_default()),
-            _ => {}
+        match s.trim() {
+            "analytical" => Ok(Fidelity::Analytical),
+            "full" => Ok(Fidelity::Full),
+            _ => Err(ParseFidelityError(s.to_string())),
         }
-        if let Some(spec) = t.strip_prefix("sampled:") {
-            if let Some((n, m)) = spec.split_once('x') {
-                if let (Ok(intervals), Ok(detail_cycles)) = (n.parse(), m.parse()) {
-                    return Ok(Fidelity::Sampled {
-                        intervals,
-                        detail_cycles,
-                    });
-                }
-            } else if let Ok(intervals) = spec.parse() {
-                return Ok(Fidelity::Sampled {
-                    intervals,
-                    detail_cycles: 0,
-                });
-            }
-        }
-        Err(ParseFidelityError(s.to_string()))
     }
 }
 
-/// A symmetric confidence interval around an extrapolated statistic.
+/// A symmetric interval around a predicted statistic.
 ///
-/// Tier-1 sampled runs attach one to IPC and to each bandwidth tier;
-/// the contract validated by `fig_fidelity` is that the tier-2 truth
-/// falls inside `[lo, hi]`.
+/// The tier-0 screen attaches one to its roofline IPC; `fig_fidelity`
+/// scores whether the tier-2 truth falls inside `[lo, hi]`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ErrorBound {
-    /// Point estimate (the extrapolated mean).
+    /// Point estimate (the midpoint).
     pub mean: f64,
-    /// Half-width of the confidence interval (always non-negative).
+    /// Half-width of the interval (always non-negative).
     pub half_width: f64,
 }
 
@@ -165,12 +95,6 @@ impl ErrorBound {
             mean,
             half_width: half_width.abs(),
         }
-    }
-
-    /// An exact value (zero-width bound).
-    #[must_use]
-    pub fn exact(value: f64) -> ErrorBound {
-        ErrorBound::new(value, 0.0)
     }
 
     /// Lower edge of the interval.
@@ -190,88 +114,40 @@ impl ErrorBound {
     pub fn contains(&self, value: f64) -> bool {
         value >= self.lo() && value <= self.hi()
     }
-
-    /// Half-width relative to the mean (0 when the mean is 0).
-    #[must_use]
-    pub fn relative(&self) -> f64 {
-        if self.mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
-
-    /// Whether two bounds overlap (their intervals intersect).
-    #[must_use]
-    pub fn overlaps(&self, other: &ErrorBound) -> bool {
-        self.lo() <= other.hi() && other.lo() <= self.hi()
-    }
-}
-
-impl crate::state::StateValue for ErrorBound {
-    fn put(&self, w: &mut crate::state::StateWriter) {
-        self.mean.put(w);
-        self.half_width.put(w);
-    }
-
-    fn get(r: &mut crate::state::StateReader<'_>) -> Result<Self, crate::state::StateError> {
-        let mean = f64::get(r)?;
-        let half_width = f64::get(r)?;
-        Ok(ErrorBound { mean, half_width })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{StateReader, StateValue, StateWriter};
 
     #[test]
     fn parses_every_spelling() {
         assert_eq!("analytical".parse(), Ok(Fidelity::Analytical));
         assert_eq!("full".parse(), Ok(Fidelity::Full));
-        assert_eq!("sampled".parse(), Ok(Fidelity::sampled_default()));
-        assert_eq!(
-            "sampled:16x512".parse(),
-            Ok(Fidelity::Sampled {
-                intervals: 16,
-                detail_cycles: 512
-            })
-        );
-        assert_eq!(
-            "sampled:4".parse(),
-            Ok(Fidelity::Sampled {
-                intervals: 4,
-                detail_cycles: 0
-            })
-        );
-        assert!("auto".parse::<Fidelity>().is_err());
-        assert!("sampled:x".parse::<Fidelity>().is_err());
+        for gone in [
+            "auto",
+            "sampled",
+            "sampled:16x512",
+            "sampled:x",
+            "0",
+            "1",
+            "2",
+        ] {
+            assert!(gone.parse::<Fidelity>().is_err(), "{gone}");
+        }
     }
 
     #[test]
     fn display_round_trips() {
-        for f in [
-            Fidelity::Analytical,
-            Fidelity::sampled_default(),
-            Fidelity::Sampled {
-                intervals: 16,
-                detail_cycles: 512,
-            },
-            Fidelity::Full,
-        ] {
+        for f in [Fidelity::Analytical, Fidelity::Full] {
             assert_eq!(f.to_string().parse::<Fidelity>(), Ok(f));
         }
     }
 
     #[test]
-    fn tier_ordering_matches_ladder() {
-        assert_eq!(Fidelity::Analytical.tier(), 0);
-        assert_eq!(Fidelity::sampled_default().tier(), 1);
-        assert_eq!(Fidelity::Full.tier(), 2);
+    fn only_full_simulates() {
         assert!(!Fidelity::Analytical.simulates());
-        assert!(Fidelity::sampled_default().simulates());
-        assert!(Fidelity::Full.is_exact());
+        assert!(Fidelity::Full.simulates());
     }
 
     #[test]
@@ -279,20 +155,6 @@ mod tests {
         let b = ErrorBound::new(2.0, 0.5);
         assert!(b.contains(1.5) && b.contains(2.5));
         assert!(!b.contains(1.4999) && !b.contains(2.5001));
-        assert!((b.relative() - 0.25).abs() < 1e-12);
-        assert!(b.overlaps(&ErrorBound::new(2.6, 0.2)));
-        assert!(!b.overlaps(&ErrorBound::new(3.0, 0.2)));
-        assert_eq!(ErrorBound::exact(1.0).half_width, 0.0);
-        assert_eq!(ErrorBound::default().relative(), 0.0);
-    }
-
-    #[test]
-    fn bound_codec_round_trips() {
-        let b = ErrorBound::new(1.25, 0.125);
-        let mut w = StateWriter::new();
-        b.put(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes);
-        assert_eq!(ErrorBound::get(&mut r).unwrap(), b);
+        assert_eq!(ErrorBound::new(1.0, -0.5).half_width, 0.5);
     }
 }

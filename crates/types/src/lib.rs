@@ -40,7 +40,7 @@ pub use config::{
     ArchKind, ConfigError, GpuConfig, McmConfig, NocPowerParams, PagePolicyKind, ReplicationKind,
     TelemetryConfig,
 };
-pub use fidelity::{ErrorBound, Fidelity, ParseFidelityError, DEFAULT_SAMPLE_INTERVALS};
+pub use fidelity::{ErrorBound, Fidelity, ParseFidelityError};
 pub use hash::IntMap;
 pub use ids::{ChannelId, ModuleId, PartitionId, SliceId, SmId, WarpId};
 pub use mapping::{AddressMapping, DecodedAddr, MappingKind};
