@@ -19,7 +19,8 @@ USAGE:
 
 OPTIONS:
     --store <DIR>       store root (default: $NUBA_STORE_DIR)
-    --verify            fully decode every entry; exit 1 if any fails
+    --verify            fully decode every entry (warm/ as first-touch traces,
+                        run/ as checkpoints); exit 1 if any fails
     --quarantine        move entries that fail verification to quarantine/
     --gc                sweep orphaned temp files and enforce the size cap
     --max-bytes <N>     size cap for --gc (default: $NUBA_STORE_MAX_BYTES)

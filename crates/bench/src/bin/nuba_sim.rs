@@ -440,19 +440,20 @@ fn checkpoint_run(a: &Args, bench: BenchmarkId, path: &str) {
         std::process::exit(2);
     });
     let ckpt = sess.checkpoint();
+    let bytes = ckpt.to_bytes();
     // When a persistent store is configured, commit there first — this
     // is the (optionally stalled) write the crash-recovery drill kills
     // mid-flight to prove the store survives torn writes.
     if let Some(store) = CheckpointStore::from_env() {
         let key = StoreKey::run(bench, ckpt.config().state_hash(), ckpt.cycle());
-        if let Err(e) = store.put(&key, &ckpt) {
+        if let Err(e) = store.put(&key, &bytes) {
             eprintln!("warning: cannot persist checkpoint to store: {e}");
         }
     }
     // The explicit file is written atomically too: temp + rename, so a
     // crash never leaves a torn file at the requested path.
     let tmp = format!("{path}.tmp.{}", std::process::id());
-    std::fs::write(&tmp, ckpt.to_bytes())
+    std::fs::write(&tmp, &bytes)
         .and_then(|()| std::fs::rename(&tmp, path))
         .unwrap_or_else(|e| {
             let _ = std::fs::remove_file(&tmp);

@@ -89,9 +89,6 @@ pub struct HarnessOptions {
     /// `NUBA_SIMCHECK_CYCLES`: cycles per simcheck configuration
     /// (default 8192).
     pub simcheck_cycles: u64,
-    /// `NUBA_WARM_REUSE`: the runner's warm-state checkpoint cache
-    /// (default on; `0` disables).
-    pub warm_reuse: bool,
     /// `NUBA_SCREEN=1`: print the tier-0 analytical screen (static
     /// kernel profiler predictions) for each matrix's benchmarks before
     /// the runner executes it. Inert — and byte-identical output — when
@@ -197,7 +194,6 @@ impl HarnessOptions {
             chaos: flag("NUBA_CHAOS"),
             pae: flag("NUBA_PAE"),
             simcheck_cycles: num("NUBA_SIMCHECK_CYCLES").unwrap_or(8192),
-            warm_reuse: std::env::var("NUBA_WARM_REUSE").map_or(true, |v| v != "0"),
             screen: flag("NUBA_SCREEN"),
             checkpoint_every,
             no_skip: flag("NUBA_NO_SKIP"),

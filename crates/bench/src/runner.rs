@@ -47,15 +47,17 @@ use std::time::{Duration, Instant};
 
 use nuba_core::telemetry::escape_json;
 use nuba_core::{
-    default_warm_accesses, Checkpoint, GpuSimulator, SimError, SimReport, TelemetryWindow,
-    TraceRecord, NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES,
+    default_warm_accesses, first_touches, Checkpoint, GpuSimulator, SimError, SimReport,
+    TelemetryWindow, TraceRecord, NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES,
 };
 use nuba_engine::FaultPlan;
-use nuba_types::{Fidelity, GpuConfig, Histogram, MetricsRegistry};
+use nuba_types::addr::PageNum;
+use nuba_types::state::{fnv1a, StateError, StateValue, StateWriter};
+use nuba_types::{Fidelity, GpuConfig, Histogram, MetricsRegistry, SmId};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
 
 use crate::screen::{screen_benchmark, ScreenPrediction};
-use crate::store::{CheckpointStore, StoreKey, StoreStats};
+use crate::store::{decode_trace, encode_trace, CheckpointStore, StoreKey, StoreStats};
 use crate::{FidelityMode, Harness, HarnessOptions};
 
 /// One simulation in an experiment matrix.
@@ -371,11 +373,9 @@ fn sigint_received() -> bool {
     sigint::RECEIVED.load(Ordering::SeqCst)
 }
 
-/// Warm-state cache key: `(benchmark, configuration identity hash,
-/// warm-up depth)`. The configuration hash covers the seed, page size,
-/// and telemetry knobs, so two jobs share an entry only when their
-/// warm-up is bit-for-bit the same.
-type WarmKey = (BenchmarkId, u64, usize);
+/// A workload's first-touch trace, shared by every job that forks from
+/// it.
+type Touches = Arc<[(PageNum, SmId)]>;
 
 /// Everything the runner shares across the jobs of a matrix, made
 /// injectable so servers and tests don't fight over process-globals
@@ -388,17 +388,18 @@ type WarmKey = (BenchmarkId, u64, usize);
 /// environment-configured instance ([`global_ctx`]), so existing
 /// binaries don't churn.
 pub struct RunnerCtx {
-    /// Post-warm-up checkpoints. `all_experiments` replays many
-    /// (benchmark, configuration) pairs across its figures; the first
-    /// job of each pair warms once and every later job forks from the
-    /// checkpoint — byte-identical to re-warming, because warm-up is
-    /// untimed and restore is exact. `NUBA_WARM_REUSE=0` disables it.
-    warm: Mutex<HashMap<WarmKey, Arc<Checkpoint>>>,
+    /// First-touch traces, keyed like their store entries (the store's
+    /// in-memory front). Warm-up only faults pages in, and which pages
+    /// in which order depends on the workload and the machine shape,
+    /// never on the architecture or policies — so the first job of a
+    /// workload records the trace and every job on it, whatever its
+    /// configuration, forks by replaying it: byte-identical to warming.
+    warm: Mutex<HashMap<StoreKey, Touches>>,
     /// Jobs appended as they fail (worker order); readers sort by
     /// label for deterministic output.
     quarantine: Mutex<Vec<JobFailure>>,
-    /// Persistent warm/salvage checkpoint store; `None` falls back
-    /// byte-identically to the in-memory cache alone.
+    /// Persistent store of warm traces and salvaged checkpoints; `None`
+    /// falls back byte-identically to the in-memory cache alone.
     store: Option<CheckpointStore>,
     /// Shared cancellation flag (Ctrl-C, matrix deadline).
     cancel: CancelToken,
@@ -465,9 +466,8 @@ impl RunnerCtx {
             .clear();
     }
 
-    /// Drop every cached warm checkpoint (test isolation, memory
-    /// pressure between phases of a long sweep). The persistent store
-    /// is untouched — it has its own LRU cap.
+    /// Drop every cached first-touch trace (test isolation). The
+    /// persistent store is untouched — it has its own LRU cap.
     pub fn reset_warm_cache(&self) {
         *self.warm.lock().expect("warm cache poisoned") = HashMap::new();
     }
@@ -507,7 +507,7 @@ impl RunnerCtx {
             .push(failure);
     }
 
-    fn warm_lookup(&self, key: &WarmKey) -> Option<Arc<Checkpoint>> {
+    fn warm_lookup(&self, key: &StoreKey) -> Option<Touches> {
         self.warm
             .lock()
             .expect("warm cache poisoned")
@@ -515,11 +515,11 @@ impl RunnerCtx {
             .cloned()
     }
 
-    fn warm_insert(&self, key: WarmKey, ckpt: Arc<Checkpoint>) {
+    fn warm_insert(&self, key: StoreKey, touches: Touches) {
         self.warm
             .lock()
             .expect("warm cache poisoned")
-            .insert(key, ckpt);
+            .insert(key, touches);
     }
 }
 
@@ -548,7 +548,7 @@ pub fn reset_quarantine() {
     global_ctx().reset_quarantine()
 }
 
-/// Drop the global context's cached warm checkpoints.
+/// Drop the global context's cached first-touch traces.
 pub fn reset_warm_cache() {
     global_ctx().reset_warm_cache()
 }
@@ -627,49 +627,68 @@ const ENV_TRACE_PERIOD: u64 = 64;
 /// get.
 const CANCEL_CHUNK: u64 = 8192;
 
-/// Build a warmed simulator for `cfg`/`wl`, forking from the warm-state
-/// cache when possible — in-memory first, then the persistent store
-/// (verified read; corrupt entries quarantine and miss), then a real
-/// warm-up whose checkpoint is published to both. Fault-plan jobs skip
-/// the cache: their schedule is armed before warm-up, and keeping them
-/// on the slow path makes the cache trivially inert for chaos drills.
+/// Build a simulator for `cfg`/`wl` and warm it by replaying the
+/// workload's first-touch trace — byte-identical to
+/// [`GpuSimulator::warm`], which replays the same trace.
 fn warmed_simulator(
     ctx: &RunnerCtx,
     bench: BenchmarkId,
     cfg: &GpuConfig,
     wl: &Workload,
-    cacheable: bool,
 ) -> Result<GpuSimulator, SimError> {
+    let mut gpu = GpuSimulator::try_new(cfg.clone(), wl)?;
+    gpu.replay_first_touches(&warm_trace(ctx, bench, cfg, wl));
+    Ok(gpu)
+}
+
+/// The [`first_touches`] trace for `cfg`/`wl` at the default warm
+/// depth: from the in-memory cache, else the persistent store (verified
+/// read; a corrupt entry, or one naming an SM this machine lacks,
+/// quarantines and misses), else recorded and published to both.
+///
+/// The key holds exactly what the trace reads: the workload, SM count,
+/// active warp count, page size and depth — no architecture or policy
+/// knob, so every configuration of a machine shape shares one entry.
+fn warm_trace(ctx: &RunnerCtx, bench: BenchmarkId, cfg: &GpuConfig, wl: &Workload) -> Touches {
     let per_warp = default_warm_accesses(cfg, wl);
-    let key = (bench, cfg.state_hash(), per_warp);
-    if cacheable && HarnessOptions::get().warm_reuse {
-        if let Some(ckpt) = ctx.warm_lookup(&key) {
-            return GpuSimulator::restore(cfg.clone(), wl, &ckpt);
-        }
-        let store_key = StoreKey::warm(bench, cfg.state_hash(), per_warp as u64);
-        if let Some(store) = ctx.store() {
-            if let Some(ckpt) = store.get(&store_key) {
-                let ckpt = Arc::new(ckpt);
-                ctx.warm_insert(key, Arc::clone(&ckpt));
-                return GpuSimulator::restore(cfg.clone(), wl, &ckpt);
-            }
-        }
-        let mut gpu = GpuSimulator::try_new(cfg.clone(), wl)?;
-        gpu.warm(wl, per_warp);
-        let ckpt = Arc::new(gpu.checkpoint(wl));
-        ctx.warm_insert(key, Arc::clone(&ckpt));
-        if let Some(store) = ctx.store() {
-            if let Err(e) = store.put(&store_key, &ckpt) {
-                // Persistence is an optimization; its failures warn.
-                eprintln!("runner: cannot persist warm state {store_key}: {e}");
-            }
-        }
-        Ok(gpu)
-    } else {
-        let mut gpu = GpuSimulator::try_new(cfg.clone(), wl)?;
-        gpu.warm(wl, per_warp);
-        Ok(gpu)
+    let mut id = StateWriter::new();
+    wl.state_hash().put(&mut id);
+    cfg.num_sms.put(&mut id);
+    cfg.sim_active_warps
+        .min(cfg.warps_per_sm)
+        .max(1)
+        .put(&mut id);
+    cfg.page_bytes.put(&mut id);
+    let key = StoreKey::warm(bench, fnv1a(id.bytes()), per_warp as u64);
+    if let Some(touches) = ctx.warm_lookup(&key) {
+        return touches;
     }
+    let stored = ctx.store().and_then(|store| {
+        store.get(&key, |bytes| {
+            let touches = decode_trace(bytes)?;
+            if touches.iter().any(|&(_, sm)| sm.0 >= cfg.num_sms) {
+                return Err(StateError::Corrupt(
+                    "first-touch trace names an SM outside the machine",
+                ));
+            }
+            Ok(touches)
+        })
+    });
+    let touches: Touches = match stored {
+        Some(touches) => touches.into(),
+        None => {
+            let touches: Touches = first_touches(cfg, wl, per_warp).into();
+            if let Some(store) = ctx.store() {
+                if let Err(e) = store.put(&key, &encode_trace(&touches)) {
+                    // Persistence is an optimization; its failures warn.
+                    eprintln!("runner: cannot persist warm trace {key}: {e}");
+                }
+            }
+            touches
+        }
+    };
+    ctx.warm_insert(key, Arc::clone(&touches));
+    touches
 }
 
 /// Salvage the job's current machine state into the store under the
@@ -688,8 +707,7 @@ fn salvage_to_store(
         return None;
     }
     let key = StoreKey::run(job.bench, cfg.state_hash(), gpu.cycle());
-    let ckpt = gpu.checkpoint(wl);
-    match store.put(&key, &ckpt) {
+    match store.put(&key, &gpu.checkpoint(wl).to_bytes()) {
         Ok(()) => {
             eprintln!(
                 "runner: salvaged {} at cycle {} to store",
@@ -789,7 +807,7 @@ impl DetailedWindow<'_> {
     }
 }
 
-/// One attempt at a job: build, arm faults/watchdog, warm, run. Every
+/// One attempt at a job: build, warm, arm faults/watchdog, run. Every
 /// failure mode surfaces as `Err` (validation, watchdog, cancellation,
 /// wall deadline) or a panic (workload/config mismatch, internal bug)
 /// — the caller catches both. On success, the job's retained telemetry
@@ -878,8 +896,9 @@ fn execute_job(
         // budget.
         Some(ckpt) => GpuSimulator::restore(cfg.clone(), &wl, &ckpt).map_err(JobAbort::Sim)?,
         None => {
-            let mut gpu = warmed_simulator(ctx, job.bench, &cfg, &wl, job.faults.is_none())
-                .map_err(JobAbort::Sim)?;
+            // The fault plan and watchdog are armed after warm-up, which
+            // only faults pages in: faulted jobs share the warm path.
+            let mut gpu = warmed_simulator(ctx, job.bench, &cfg, &wl).map_err(JobAbort::Sim)?;
             if let Some(plan) = &job.faults {
                 gpu.set_fault_plan(plan);
             }

@@ -1,16 +1,18 @@
-//! Persistent content-addressed checkpoint store with crash-safe
-//! writes, corruption quarantine, LRU size capping, and deterministic
+//! Persistent content-addressed store with crash-safe writes,
+//! corruption quarantine, LRU size capping, and deterministic
 //! disk-fault injection.
 //!
 //! The store turns the runner's in-process warm-state cache into
 //! something that survives the process: each entry is one file holding
-//! a serialized [`Checkpoint`] wrapped in a store envelope (magic,
-//! format version, key echo, payload, trailing
-//! [`fnv1a`] checksum over everything before it). Entries are keyed by
-//! [`StoreKey`] — `(kind, benchmark, config state hash, depth)` — so
-//! two processes that warm the same (benchmark, configuration) pair to
-//! the same depth share one entry, and a salvaged mid-run checkpoint
-//! can never be mistaken for a warm-up image.
+//! a payload wrapped in a store envelope (magic, format version, key
+//! echo, payload, trailing [`fnv1a`] checksum over everything before
+//! it). The [`StoreKind`] fixes what the payload is: a `warm/` entry
+//! holds a workload's first-touch trace ([`encode_trace`]), a `run/`
+//! entry a whole-machine [`Checkpoint`]. Entries are keyed by
+//! [`StoreKey`] — `(kind, benchmark, identity hash, depth)` — so two
+//! processes that warm the same workload to the same depth share one
+//! entry, and a salvaged mid-run checkpoint can never be mistaken for a
+//! warm-up trace.
 //!
 //! Durability contract (DESIGN.md §15):
 //!
@@ -20,11 +22,11 @@
 //!   `*.tmp` orphan that [`CheckpointStore::open`] sweeps into the
 //!   quarantine sidecar on the next start.
 //! - **End-to-end verification** — every read re-checks the envelope
-//!   magic, version, key echo, and checksum, then decodes via
-//!   [`Checkpoint::from_bytes`] (which has its own trailing checksum).
-//!   Any failure quarantines the entry — it is *never* `panic!`ed on
-//!   and *never* silently reused — and reports a cache miss so the
-//!   caller re-derives the state from scratch, byte-identically.
+//!   magic, version, key echo, and checksum, then decodes the payload
+//!   with the caller's decoder. Any failure quarantines the entry — it
+//!   is *never* `panic!`ed on and *never* silently reused — and reports
+//!   a cache miss so the caller re-derives the state from scratch,
+//!   byte-identically.
 //! - **Quarantine** — damaged entries move (never delete in place) to
 //!   the `quarantine/` sidecar directory for post-mortem inspection by
 //!   [`nuba_fsck`](../../nuba_fsck/index.html).
@@ -49,7 +51,11 @@ use std::sync::Mutex;
 use std::time::SystemTime;
 
 use nuba_core::Checkpoint;
-use nuba_types::state::{fnv1a, StateError, StateReader, StateWriter, STATE_FORMAT_VERSION};
+use nuba_types::addr::PageNum;
+use nuba_types::state::{
+    fnv1a, StateError, StateReader, StateValue, StateWriter, STATE_FORMAT_VERSION,
+};
+use nuba_types::SmId;
 use nuba_workloads::BenchmarkId;
 
 use crate::HarnessOptions;
@@ -64,17 +70,18 @@ const ENTRY_EXT: &str = "ckpt";
 /// open).
 const TMP_EXT: &str = "tmp";
 
-/// What a stored checkpoint snapshots, part of the key so the two
-/// namespaces can never collide: a warm-up image at depth
-/// `accesses-per-warp` and a mid-run salvage at depth `cycle` would
-/// otherwise be indistinguishable.
+/// What an entry holds, part of the key so the two namespaces can
+/// never collide: a warm-up trace at depth `accesses-per-warp` and a
+/// mid-run salvage at depth `cycle` would otherwise be
+/// indistinguishable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreKind {
-    /// Post-warm-up image (the runner's warm-state cache); `depth` is
-    /// the per-warp warm access count.
+    /// First-touch trace (the runner's warm-state cache, see
+    /// [`encode_trace`]); `depth` is the per-warp warm access count.
     Warm,
-    /// Mid-run machine state (deadline/cancellation salvage, `nuba_sim
-    /// --checkpoint`); `depth` is the simulated cycle.
+    /// Mid-run machine state, [`Checkpoint::to_bytes`]
+    /// (deadline/cancellation salvage, `nuba_sim --checkpoint`);
+    /// `depth` is the simulated cycle.
     Run,
 }
 
@@ -95,43 +102,46 @@ impl StoreKind {
     }
 }
 
-/// Content address of one stored checkpoint.
+/// Content address of one stored entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StoreKey {
-    /// Warm-up image or mid-run salvage.
+    /// Warm-up trace or mid-run salvage.
     pub kind: StoreKind,
-    /// The benchmark the checkpoint was taken on.
+    /// The benchmark the entry was taken on.
     pub bench: BenchmarkId,
-    /// [`GpuConfig::state_hash`](nuba_types::GpuConfig::state_hash) of
-    /// the configuration (covers seed, page size, telemetry knobs —
-    /// everything that shapes the machine state).
-    pub config_hash: u64,
+    /// Identity of everything else the payload depends on. `Run`: the
+    /// [`GpuConfig::state_hash`](nuba_types::GpuConfig::state_hash)
+    /// (covers seed, page size, telemetry knobs — everything that
+    /// shapes the machine state). `Warm`: the hash of the workload and
+    /// the machine shape a first-touch trace reads, which no
+    /// architecture or policy knob enters.
+    pub hash: u64,
     /// Warm depth (accesses per warp) or salvage cycle, per `kind`.
     pub depth: u64,
 }
 
 impl StoreKey {
-    /// A warm-image key (the runner's warm-state cache namespace).
-    pub fn warm(bench: BenchmarkId, config_hash: u64, depth: u64) -> StoreKey {
+    /// A warm-trace key (the runner's warm-state cache namespace).
+    pub fn warm(bench: BenchmarkId, hash: u64, depth: u64) -> StoreKey {
         StoreKey {
             kind: StoreKind::Warm,
             bench,
-            config_hash,
+            hash,
             depth,
         }
     }
 
     /// A mid-run salvage key.
-    pub fn run(bench: BenchmarkId, config_hash: u64, cycle: u64) -> StoreKey {
+    pub fn run(bench: BenchmarkId, hash: u64, cycle: u64) -> StoreKey {
         StoreKey {
             kind: StoreKind::Run,
             bench,
-            config_hash,
+            hash,
             depth: cycle,
         }
     }
 
-    /// The entry's file name: `<kind>-<bench>-<confighash>-<depth>.ckpt`
+    /// The entry's file name: `<kind>-<bench>-<hash>-<depth>.ckpt`
     /// with the benchmark abbreviation sanitized to `[A-Za-z0-9_]`.
     pub fn file_name(&self) -> String {
         let bench: String = self
@@ -144,7 +154,7 @@ impl StoreKey {
             "{}-{}-{:016x}-{}.{ENTRY_EXT}",
             self.tag_str(),
             bench,
-            self.config_hash,
+            self.hash,
             self.depth
         )
     }
@@ -161,7 +171,7 @@ impl fmt::Display for StoreKey {
             "{}/{}/{:016x}/{}",
             self.tag_str(),
             self.bench,
-            self.config_hash,
+            self.hash,
             self.depth
         )
     }
@@ -342,7 +352,7 @@ impl StoreConfig {
 /// simulation results never depend on them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Reads that returned a verified checkpoint.
+    /// Reads that returned a verified, decoded entry.
     pub hits: u64,
     /// Reads that found no entry.
     pub misses: u64,
@@ -493,11 +503,16 @@ impl CheckpointStore {
         report
     }
 
-    /// Look up a checkpoint. Returns `None` on a miss *or* when the
-    /// entry fails verification — in the latter case the damaged file
-    /// is quarantined first, so the caller transparently re-derives the
+    /// Look up an entry and decode its payload with `decode`. Returns
+    /// `None` on a miss *or* when the entry fails verification — the
+    /// envelope's or `decode`'s — in which case the damaged file is
+    /// quarantined first, so the caller transparently re-derives the
     /// state and the store heals.
-    pub fn get(&self, key: &StoreKey) -> Option<Checkpoint> {
+    pub fn get<T>(
+        &self,
+        key: &StoreKey,
+        decode: impl FnOnce(&[u8]) -> Result<T, StateError>,
+    ) -> Option<T> {
         let path = self.root.join(key.file_name());
         if !path.is_file() {
             self.with_inner(|i| i.stats.misses += 1);
@@ -509,13 +524,17 @@ impl CheckpointStore {
         } else {
             fs::read(&path).map_err(StoreError::from)
         };
-        let verdict = bytes.and_then(|b| verify_entry(&b, Some(key)));
+        let verdict = bytes.and_then(|b| {
+            verify_entry(&b, key)
+                .and_then(decode)
+                .map_err(StoreError::Corrupt)
+        });
         match verdict {
-            Ok(ckpt) => {
+            Ok(value) => {
                 // LRU bookkeeping: a hit makes the entry young again.
                 touch(&path);
                 self.with_inner(|i| i.stats.hits += 1);
-                Some(ckpt)
+                Some(value)
             }
             Err(e) => {
                 eprintln!("store: entry {key} failed verification ({e}); quarantining");
@@ -526,16 +545,16 @@ impl CheckpointStore {
         }
     }
 
-    /// Commit a checkpoint under `key`: envelope, temp-file write,
-    /// atomic rename, LRU eviction. Injected faults apply here.
+    /// Commit `payload` under `key`: envelope, temp-file write, atomic
+    /// rename, LRU eviction. Injected faults apply here.
     ///
     /// # Errors
     /// [`StoreError::Io`] when the write fails (real or injected
     /// `ENOSPC`); the store directory is left without a (visible)
     /// partial entry unless a *torn-write fault* deliberately
     /// simulates the non-atomic failure mode.
-    pub fn put(&self, key: &StoreKey, ckpt: &Checkpoint) -> Result<(), StoreError> {
-        let bytes = encode_entry(key, ckpt);
+    pub fn put(&self, key: &StoreKey, payload: &[u8]) -> Result<(), StoreError> {
+        let bytes = encode_entry(key, payload);
         let fault = self.with_inner(StoreInner::next_write_fault);
         let final_path = self.root.join(key.file_name());
         match fault {
@@ -571,8 +590,9 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Verify every committed entry (envelope + full checkpoint
-    /// decode), sorted by file name. Does not modify the store.
+    /// Verify every committed entry (envelope + full payload decode:
+    /// `warm/` entries as first-touch traces, `run/` entries as
+    /// checkpoints), sorted by file name. Does not modify the store.
     pub fn verify_all(&self) -> Vec<EntryVerdict> {
         let mut out: Vec<EntryVerdict> = self
             .list_files(ENTRY_EXT)
@@ -776,10 +796,51 @@ fn touch(path: &Path) {
     }
 }
 
-/// Serialize one store entry: envelope header, key echo, checkpoint
-/// payload, trailing checksum over everything before it.
-fn encode_entry(key: &StoreKey, ckpt: &Checkpoint) -> Vec<u8> {
-    let payload = ckpt.to_bytes();
+/// A `warm/` entry's payload: the first-touch trace
+/// ([`nuba_core::first_touches`]) as a length-prefixed list of
+/// `(page, SM)` pairs, in replay order.
+pub fn encode_trace(touches: &[(PageNum, SmId)]) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    touches.len().put(&mut w);
+    for touch in touches {
+        touch.put(&mut w);
+    }
+    w.into_bytes()
+}
+
+/// Decode an [`encode_trace`] payload. Checks structure only (length,
+/// truncation, trailing bytes); whether each SM exists is the
+/// replaying machine's question.
+///
+/// # Errors
+/// [`StateError::UnexpectedEof`] on truncation,
+/// [`StateError::Corrupt`] on trailing bytes.
+pub fn decode_trace(bytes: &[u8]) -> Result<Vec<(PageNum, SmId)>, StateError> {
+    let mut r = StateReader::new(bytes);
+    let len = usize::get(&mut r)?;
+    // A touch is two u64s; a length the bytes cannot hold is truncation,
+    // caught before allocating for it.
+    if len > r.remaining() / 16 {
+        return Err(StateError::UnexpectedEof {
+            needed: len.saturating_mul(16),
+            remaining: r.remaining(),
+        });
+    }
+    let mut touches = Vec::with_capacity(len);
+    for _ in 0..len {
+        touches.push(<(PageNum, SmId)>::get(&mut r)?);
+    }
+    if !r.is_done() {
+        return Err(StateError::Corrupt(
+            "trailing bytes after first-touch trace",
+        ));
+    }
+    Ok(touches)
+}
+
+/// Serialize one store entry: envelope header, key echo, payload,
+/// trailing checksum over everything before it.
+fn encode_entry(key: &StoreKey, payload: &[u8]) -> Vec<u8> {
     let mut w = StateWriter::new();
     w.put_u32(STORE_MAGIC);
     w.put_u32(STATE_FORMAT_VERSION);
@@ -789,44 +850,41 @@ fn encode_entry(key: &StoreKey, ckpt: &Checkpoint) -> Vec<u8> {
     let bench = key.bench.to_string();
     w.put_u64(bench.len() as u64);
     w.put_bytes(bench.as_bytes());
-    w.put_u64(key.config_hash);
+    w.put_u64(key.hash);
     w.put_u64(key.depth);
     w.put_u64(payload.len() as u64);
-    w.put_bytes(&payload);
+    w.put_bytes(payload);
     let checksum = fnv1a(w.bytes());
     w.put_u64(checksum);
     w.into_bytes()
 }
 
-/// Verify an entry's envelope and decode the checkpoint. `expect_key`
-/// additionally cross-checks the key echo (a renamed/misfiled entry is
+/// Verify an entry's envelope and return its payload, cross-checking
+/// the key echo against `expect` (a renamed/misfiled entry is
 /// corruption too).
-fn verify_entry(bytes: &[u8], expect_key: Option<&StoreKey>) -> Result<Checkpoint, StoreError> {
-    let (key, payload) = decode_envelope(bytes).map_err(StoreError::Corrupt)?;
-    if let Some(expect) = expect_key {
-        if key.kind != expect.kind
-            || key.config_hash != expect.config_hash
-            || key.depth != expect.depth
-            || key.bench != expect.bench
-        {
-            return Err(StoreError::Corrupt(StateError::Corrupt(
-                "entry key echo does not match its address",
-            )));
-        }
+fn verify_entry<'a>(bytes: &'a [u8], expect: &StoreKey) -> Result<&'a [u8], StateError> {
+    let (key, payload) = decode_envelope(bytes)?;
+    if key != *expect {
+        return Err(StateError::Corrupt(
+            "entry key echo does not match its address",
+        ));
     }
-    Checkpoint::from_bytes(payload).map_err(StoreError::Corrupt)
+    Ok(payload)
 }
 
-/// Envelope-only verification for fsck: checks framing, version, and
-/// the end-to-end checksum, then fully decodes the checkpoint.
+/// Full verification for fsck: framing, version, and the end-to-end
+/// checksum, then a full decode of the payload its kind names.
 fn decode_entry_key(bytes: &[u8]) -> Result<StoreKey, StoreError> {
     let (key, payload) = decode_envelope(bytes).map_err(StoreError::Corrupt)?;
-    Checkpoint::from_bytes(payload).map_err(StoreError::Corrupt)?;
+    match key.kind {
+        StoreKind::Warm => decode_trace(payload).map(drop),
+        StoreKind::Run => Checkpoint::from_bytes(payload).map(drop),
+    }
+    .map_err(StoreError::Corrupt)?;
     Ok(key)
 }
 
-/// Decode the envelope, returning the key echo and the checkpoint
-/// payload slice. Every exit is a typed [`StateError`].
+/// Decode the envelope, returning the key echo and the payload slice. Every exit is a typed [`StateError`].
 fn decode_envelope(bytes: &[u8]) -> Result<(StoreKey, &[u8]), StateError> {
     let mut r = StateReader::new(bytes);
     if r.get_u32()? != STORE_MAGIC {
@@ -866,20 +924,18 @@ fn decode_envelope(bytes: &[u8]) -> Result<(StoreKey, &[u8]), StateError> {
     let bench_str = take_str(&mut r)?;
     let bench = BenchmarkId::from_abbr(&bench_str)
         .ok_or(StateError::Corrupt("unknown benchmark in key echo"))?;
-    let config_hash = r.get_u64()?;
+    let hash = r.get_u64()?;
     let depth = r.get_u64()?;
     let payload_len = r.get_u64()? as usize;
-    let payload_start = body.len() - r.remaining();
     let payload = r.take(payload_len)?;
     if !r.is_done() {
         return Err(StateError::Corrupt("trailing bytes in store entry"));
     }
-    let _ = payload_start;
     Ok((
         StoreKey {
             kind,
             bench,
-            config_hash,
+            hash,
             depth,
         },
         payload,
@@ -889,6 +945,8 @@ fn decode_envelope(bytes: &[u8]) -> Result<(StoreKey, &[u8]), StateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_matrix_ctx_with, Job, RunnerCtx};
+    use crate::Harness;
     use nuba_types::{ArchKind, GpuConfig};
     use nuba_workloads::{ScaleProfile, Workload};
 
@@ -903,29 +961,54 @@ mod tests {
         CheckpointStore::open(cfg).expect("store opens")
     }
 
-    fn tiny_checkpoint() -> (StoreKey, Checkpoint) {
+    fn tiny_machine() -> (GpuConfig, Workload) {
         let cfg = GpuConfig::paper_baseline(ArchKind::Nuba)
             .with_geometry(8, 8, 4, 8)
             .with_page_fault_latency(200);
         let wl = Workload::build(BenchmarkId::Kmeans, ScaleProfile::fast(), 8, cfg.seed);
+        (cfg, wl)
+    }
+
+    /// A warm key and its first-touch trace payload.
+    fn tiny_trace() -> (StoreKey, Vec<u8>) {
+        let (cfg, wl) = tiny_machine();
+        let touches = nuba_core::first_touches(&cfg, &wl, 64);
+        let key = StoreKey::warm(BenchmarkId::Kmeans, wl.state_hash(), 64);
+        (key, encode_trace(&touches))
+    }
+
+    /// A run key and its checkpoint payload.
+    fn tiny_checkpoint() -> (StoreKey, Vec<u8>) {
+        let (cfg, wl) = tiny_machine();
         let mut gpu = nuba_core::GpuSimulator::try_new(cfg.clone(), &wl).expect("valid");
         gpu.warm(&wl, 64);
-        let key = StoreKey::warm(BenchmarkId::Kmeans, cfg.state_hash(), 64);
-        (key, gpu.checkpoint(&wl))
+        let key = StoreKey::run(BenchmarkId::Kmeans, cfg.state_hash(), 777);
+        (key, gpu.checkpoint(&wl).to_bytes())
+    }
+
+    /// `get` through the trace decoder, re-encoded for byte comparison.
+    fn read(store: &CheckpointStore, key: &StoreKey) -> Option<Vec<u8>> {
+        store.get(key, decode_trace).map(|t| encode_trace(&t))
     }
 
     #[test]
     fn roundtrip_hit_and_miss() {
         let store = tmp_store("roundtrip", |c| c);
-        let (key, ckpt) = tiny_checkpoint();
-        assert!(store.get(&key).is_none(), "empty store misses");
-        store.put(&key, &ckpt).expect("put succeeds");
-        let back = store.get(&key).expect("hit after put");
-        assert_eq!(back.to_bytes(), ckpt.to_bytes(), "byte-identical roundtrip");
-        let other = StoreKey::warm(key.bench, key.config_hash, key.depth + 1);
-        assert!(store.get(&other).is_none(), "depth is part of the key");
-        let runk = StoreKey::run(key.bench, key.config_hash, key.depth);
-        assert!(store.get(&runk).is_none(), "kind namespaces never collide");
+        let (key, trace) = tiny_trace();
+        assert!(read(&store, &key).is_none(), "empty store misses");
+        store.put(&key, &trace).expect("put succeeds");
+        assert_eq!(
+            read(&store, &key).expect("hit after put"),
+            trace,
+            "byte-identical roundtrip"
+        );
+        let other = StoreKey::warm(key.bench, key.hash, key.depth + 1);
+        assert!(read(&store, &other).is_none(), "depth is part of the key");
+        let runk = StoreKey::run(key.bench, key.hash, key.depth);
+        assert!(
+            read(&store, &runk).is_none(),
+            "kind namespaces never collide"
+        );
         let s = store.stats();
         assert_eq!((s.hits, s.inserts), (1, 1));
         let _ = fs::remove_dir_all(store.root());
@@ -934,8 +1017,8 @@ mod tests {
     #[test]
     fn corrupt_entries_quarantine_not_panic() {
         let store = tmp_store("corrupt", |c| c);
-        let (key, ckpt) = tiny_checkpoint();
-        store.put(&key, &ckpt).expect("put succeeds");
+        let (key, trace) = tiny_trace();
+        store.put(&key, &trace).expect("put succeeds");
         let path = store.root().join(key.file_name());
 
         // Bit flip in the middle.
@@ -944,32 +1027,42 @@ mod tests {
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         assert!(
-            store.get(&key).is_none(),
+            read(&store, &key).is_none(),
             "flipped entry must not be reused"
         );
         assert!(!path.exists(), "damaged entry removed from the hot path");
         assert_eq!(store.quarantined_files().len(), 2, "entry + reason sidecar");
 
         // Truncation.
-        store.put(&key, &ckpt).expect("re-put succeeds");
+        store.put(&key, &trace).expect("re-put succeeds");
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
-        assert!(store.get(&key).is_none(), "torn entry must not be reused");
+        assert!(
+            read(&store, &key).is_none(),
+            "torn entry must not be reused"
+        );
 
         // Stale version (bytes 4..8 of the envelope).
-        store.put(&key, &ckpt).expect("re-put succeeds");
+        store.put(&key, &trace).expect("re-put succeeds");
         let mut bytes = fs::read(&path).unwrap();
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         assert!(
-            store.get(&key).is_none(),
+            read(&store, &key).is_none(),
             "stale version must not be reused"
         );
 
-        assert_eq!(store.stats().quarantined, 3);
+        // A sound envelope around a payload the caller cannot decode.
+        store.put(&key, &trace[..trace.len() - 1]).expect("re-put");
+        assert!(
+            read(&store, &key).is_none(),
+            "undecodable payload must not be reused"
+        );
+
+        assert_eq!(store.stats().quarantined, 4);
         // The store heals: a fresh put works and verifies again.
-        store.put(&key, &ckpt).expect("put after quarantine");
-        assert_eq!(store.get(&key).expect("healed").to_bytes(), ckpt.to_bytes());
+        store.put(&key, &trace).expect("put after quarantine");
+        assert_eq!(read(&store, &key).expect("healed"), trace);
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -981,53 +1074,50 @@ mod tests {
             .with(2, StoreFault::BitFlip { offset: 120 })
             .with(0, StoreFault::Unreadable);
         let store = tmp_store("faults", |c| StoreConfig { faults: plan, ..c });
-        let (key, ckpt) = tiny_checkpoint();
+        let (key, trace) = tiny_trace();
 
         // Write op 0: torn — a visible truncated entry appears.
-        store.put(&key, &ckpt).expect("torn write 'succeeds'");
+        store.put(&key, &trace).expect("torn write 'succeeds'");
         // Read op 0 is injected unreadable; either way it must not be
         // reused and must be quarantined.
-        assert!(store.get(&key).is_none(), "torn entry never reused");
+        assert!(read(&store, &key).is_none(), "torn entry never reused");
         // Write op 1: ENOSPC — surfaces as Err, no partial entry.
-        let e = store.put(&key, &ckpt).expect_err("injected ENOSPC");
+        let e = store.put(&key, &trace).expect_err("injected ENOSPC");
         assert!(matches!(e, StoreError::Io(_)));
         assert!(!store.root().join(key.file_name()).exists());
         // Write op 2: bit flip — atomic but corrupt; read quarantines.
-        store.put(&key, &ckpt).expect("flipped write succeeds");
-        assert!(store.get(&key).is_none(), "flipped entry never reused");
+        store.put(&key, &trace).expect("flipped write succeeds");
+        assert!(read(&store, &key).is_none(), "flipped entry never reused");
         // Plan exhausted: the store works normally again.
-        store.put(&key, &ckpt).expect("clean write");
-        assert_eq!(
-            store.get(&key).expect("clean read").to_bytes(),
-            ckpt.to_bytes()
-        );
+        store.put(&key, &trace).expect("clean write");
+        assert_eq!(read(&store, &key).expect("clean read"), trace);
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn lru_cap_evicts_oldest() {
-        let (key, ckpt) = tiny_checkpoint();
-        let entry_len = encode_entry(&key, &ckpt).len() as u64;
+        let (key, trace) = tiny_trace();
+        let entry_len = encode_entry(&key, &trace).len() as u64;
         // Budget for two entries, not three.
         let store = tmp_store("lru", |c| StoreConfig {
             max_bytes: entry_len * 2 + entry_len / 2,
             ..c
         });
-        let k1 = StoreKey::warm(key.bench, key.config_hash, 1);
-        let k2 = StoreKey::warm(key.bench, key.config_hash, 2);
-        let k3 = StoreKey::warm(key.bench, key.config_hash, 3);
-        store.put(&k1, &ckpt).unwrap();
+        let k1 = StoreKey::warm(key.bench, key.hash, 1);
+        let k2 = StoreKey::warm(key.bench, key.hash, 2);
+        let k3 = StoreKey::warm(key.bench, key.hash, 3);
+        store.put(&k1, &trace).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
-        store.put(&k2, &ckpt).unwrap();
+        store.put(&k2, &trace).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         // Touch k1 so k2 becomes the LRU victim.
-        assert!(store.get(&k1).is_some());
+        assert!(read(&store, &k1).is_some());
         std::thread::sleep(std::time::Duration::from_millis(20));
-        store.put(&k3, &ckpt).unwrap();
+        store.put(&k3, &trace).unwrap();
         assert!(store.total_bytes() <= entry_len * 2 + entry_len / 2);
-        assert!(store.get(&k2).is_none(), "LRU entry evicted");
-        assert!(store.get(&k1).is_some(), "recently-used entry kept");
-        assert!(store.get(&k3).is_some(), "new entry kept");
+        assert!(read(&store, &k2).is_none(), "LRU entry evicted");
+        assert!(read(&store, &k1).is_some(), "recently-used entry kept");
+        assert!(read(&store, &k3).is_some(), "new entry kept");
         assert_eq!(store.stats().evictions, 1);
         let _ = fs::remove_dir_all(store.root());
     }
@@ -1065,26 +1155,103 @@ mod tests {
         assert!(StoreFaultPlan::parse("").unwrap().is_empty());
     }
 
+    /// fsck decodes each entry as what its kind says it holds: a trace
+    /// under `warm/`, a checkpoint under `run/`.
     #[test]
     fn verify_all_reports_sorted_verdicts() {
         let store = tmp_store("verify", |c| c);
-        let (key, ckpt) = tiny_checkpoint();
-        store.put(&key, &ckpt).unwrap();
-        let k2 = StoreKey::run(key.bench, key.config_hash, 777);
-        store.put(&k2, &ckpt).unwrap();
-        // Corrupt the second entry on disk.
-        let p2 = store.root().join(k2.file_name());
-        let mut b = fs::read(&p2).unwrap();
+        let (wkey, trace) = tiny_trace();
+        let (rkey, ckpt) = tiny_checkpoint();
+        store.put(&wkey, &trace).unwrap();
+        store.put(&rkey, &ckpt).unwrap();
+        // A checkpoint filed as a warm trace, and a corrupted run entry.
+        let misfiled = StoreKey::warm(wkey.bench, wkey.hash, wkey.depth + 1);
+        store.put(&misfiled, &ckpt).unwrap();
+        let flipped = StoreKey::run(rkey.bench, rkey.hash, rkey.depth + 1);
+        store.put(&flipped, &ckpt).unwrap();
+        let p = store.root().join(flipped.file_name());
+        let mut b = fs::read(&p).unwrap();
         let mid = b.len() / 2;
         b[mid] ^= 1;
-        fs::write(&p2, &b).unwrap();
+        fs::write(&p, &b).unwrap();
+
         let verdicts = store.verify_all();
-        assert_eq!(verdicts.len(), 2);
-        assert_eq!(verdicts.iter().filter(|v| v.status.is_ok()).count(), 1);
-        assert_eq!(verdicts.iter().filter(|v| v.status.is_err()).count(), 1);
-        let moved = store.quarantine_corrupt();
-        assert_eq!(moved.len(), 1);
-        assert_eq!(store.len(), 1);
+        let ok: Vec<StoreKey> = verdicts
+            .iter()
+            .filter_map(|v| v.status.clone().ok())
+            .collect();
+        assert_eq!(
+            ok,
+            vec![rkey, wkey],
+            "sorted by file name, run- before warm-"
+        );
+        assert_eq!(verdicts.len(), 4);
+        let mut moved = store.quarantine_corrupt();
+        moved.sort();
+        let mut expect = vec![misfiled.file_name(), flipped.file_name()];
+        expect.sort();
+        assert_eq!(moved, expect);
+        assert_eq!(store.len(), 2);
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    /// A `warm/` entry with a sound envelope — checksum and key echo
+    /// intact — whose trace names an SM the machine lacks or is cut
+    /// short is quarantined and missed like any corrupt entry: jobs
+    /// re-record the trace and report exactly what they report with no
+    /// store at all.
+    #[test]
+    fn forged_warm_traces_quarantine_and_miss() {
+        let h = Harness {
+            cycles: 600,
+            scale: ScaleProfile::fast(),
+            seed: 7,
+        };
+        let cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
+        let jobs = [BenchmarkId::Kmeans, BenchmarkId::Sgemm]
+            .map(|b| Job::new(b.to_string(), b, cfg.clone()))
+            .to_vec();
+        let off = run_matrix_ctx_with(&RunnerCtx::new(), &h, &jobs, 1);
+
+        let cold = RunnerCtx::with_store(tmp_store("forged", |c| c));
+        run_matrix_ctx_with(&cold, &h, &jobs, 1);
+        let store = cold.store().expect("store-backed context");
+        let entries = store.list_files(ENTRY_EXT);
+        assert_eq!(entries.len(), 2, "one warm trace per benchmark");
+        for (i, path) in entries.iter().enumerate() {
+            let bytes = fs::read(path).unwrap();
+            let (key, payload) = decode_envelope(&bytes).expect("cold entry verifies");
+            assert_eq!(key.kind, StoreKind::Warm);
+            let forged = if i == 0 {
+                let mut touches = decode_trace(payload).unwrap();
+                touches[0].1 = SmId(cfg.num_sms);
+                encode_trace(&touches)
+            } else {
+                payload[..payload.len() - 5].to_vec()
+            };
+            fs::write(path, encode_entry(&key, &forged)).unwrap();
+        }
+
+        let root = store.root().to_path_buf();
+        let hot = RunnerCtx::with_store(
+            CheckpointStore::open(StoreConfig {
+                dir: Some(root.clone()),
+                ..StoreConfig::default()
+            })
+            .expect("store reopens"),
+        );
+        let results = run_matrix_ctx_with(&hot, &h, &jobs, 1);
+        let s = hot.store().expect("store-backed context").stats();
+        assert_eq!((s.hits, s.quarantined, s.inserts), (0, 2, 2));
+        for (o, r) in off.iter().zip(&results) {
+            assert!(!r.failed(), "`{}` quarantined: {:?}", r.label, r.error);
+            assert_eq!(
+                o.report, r.report,
+                "`{}`: forged store vs no store",
+                r.label
+            );
+        }
+        assert!(hot.quarantined_jobs().is_empty());
+        let _ = fs::remove_dir_all(root);
     }
 }

@@ -1,5 +1,5 @@
-//! Warm-state reuse contract: the matrix runner may fork jobs from a
-//! cached post-warm checkpoint, and that must not change a single byte
+//! Warm-state reuse contract: the matrix runner may fork jobs by
+//! replaying a cached first-touch trace, and that must not change a single byte
 //! of any result — not across worker counts, not between a cold and a
 //! hot cache, and not against a fresh `SimSession` that never touched
 //! the cache at all.

@@ -780,49 +780,30 @@ impl GpuSimulator {
         }
     }
 
-    /// Functional warm-up: replay `accesses_per_warp` memory accesses
-    /// per warp (round-robin across SMs, approximating concurrent
-    /// execution) so first-touch page faults — and the driver's
+    /// Functional warm-up: first-touch page faults — and the driver's
     /// placement decisions — happen before the timed window, as they
-    /// would have in the paper's billion-instruction runs. No timing
-    /// state is touched; only the page table and allocation counters
-    /// warm up.
+    /// would have in the paper's billion-instruction runs. Records the
+    /// workload's [`first_touches`](crate::session::first_touches) at
+    /// `accesses_per_warp` and replays them. No timing state is touched;
+    /// only the page table and allocation counters warm up.
     pub fn warm(&mut self, workload: &Workload, accesses_per_warp: usize) {
-        let active_warps = self.cfg.sim_active_warps.min(self.cfg.warps_per_sm).max(1);
-        // Warp-major order: consecutive faults come from *different* SMs,
-        // as they would under concurrent execution — burst-faulting one
-        // SM's warps back-to-back would make LAB's least-first fallback
-        // spray pages that are really private.
-        let mut streams: Vec<nuba_workloads::WarpStream> = Vec::new();
-        for w in 0..active_warps {
-            for sm in 0..self.cfg.num_sms {
-                streams.push(workload.stream(SmId(sm), nuba_types::WarpId(w)));
-            }
-        }
-        let page_bytes = self.cfg.page_bytes;
-        let num_sms = self.cfg.num_sms;
-        for round in 0..accesses_per_warp {
-            for (k, stream) in streams.iter_mut().enumerate() {
-                let sm = SmId(k % num_sms);
-                // CTAs launch in waves: low-numbered SMs start a little
-                // earlier. This is what lets first-touch concentrate hot
-                // shared pages on the earliest sharer's channel - the
-                // pathology LAB exists to fix (paper Fig. 6d/e).
-                if round < sm.0 / 2 {
-                    continue;
-                }
-                // Skip compute blocks; take the next memory access.
-                let access = loop {
-                    match stream.next_op() {
-                        nuba_workloads::WarpOp::Mem(a) => break a,
-                        nuba_workloads::WarpOp::Compute(_) => continue,
-                    }
-                };
-                let vpage = access.vaddr.page(page_bytes);
-                if !self.driver.table().is_mapped(vpage) {
-                    let part = self.topo.partition_of_sm(sm);
-                    self.driver.handle_fault(vpage, part, sm);
-                }
+        let touches = crate::session::first_touches(&self.cfg, workload, accesses_per_warp);
+        self.replay_first_touches(&touches);
+    }
+
+    /// Fault in every page of a first-touch trace that is not mapped yet,
+    /// in trace order, on behalf of the SM that touched it first. This is
+    /// where the configuration acts: the page policy picks each channel.
+    /// Replaying [`first_touches`](crate::session::first_touches)`(cfg,
+    /// wl, n)` is exactly [`warm`](GpuSimulator::warm)`(wl, n)`.
+    ///
+    /// Every SM in `touches` must be below `num_sms`; the runner checks
+    /// traces it reads from disk before replaying them.
+    pub fn replay_first_touches(&mut self, touches: &[(PageNum, SmId)]) {
+        for &(vpage, sm) in touches {
+            if !self.driver.table().is_mapped(vpage) {
+                let part = self.topo.partition_of_sm(sm);
+                self.driver.handle_fault(vpage, part, sm);
             }
         }
     }

@@ -56,7 +56,7 @@ pub use mdr::{
     MdrEstimate, MdrProfile, ScreenBottleneck, ScreenVerdict,
 };
 pub use metrics::{BottleneckBreakdown, LatencyReport, SimReport};
-pub use session::{default_warm_accesses, Checkpoint, SessionBuilder, SimSession};
+pub use session::{default_warm_accesses, first_touches, Checkpoint, SessionBuilder, SimSession};
 pub use sm::{Sm, SmParams, SmStats, StallReason};
 pub use telemetry::{
     Telemetry, TelemetryWindow, TraceRecord, WindowGauges, WindowTotals, NUM_STAGES, NUM_TIERS,

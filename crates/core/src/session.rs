@@ -1,5 +1,6 @@
 //! Checkpoint/restore sessions: versioned snapshots of a running
-//! simulation and a builder-style front door for warm-state reuse.
+//! simulation, the warm-up's first-touch trace, and a builder-style
+//! front door.
 //!
 //! A [`Checkpoint`] captures every piece of dynamic simulator state —
 //! warp contexts, cache tags and MSHR files, queue and link occupancy,
@@ -11,9 +12,14 @@
 //! run: same [`SimReport`], same invariant counts,
 //! same telemetry exports.
 //!
+//! Warm-up factors into a per-workload [`first_touches`] trace and a
+//! per-configuration [`GpuSimulator::replay_first_touches`]; the
+//! benchmark runner records the trace once and replays it for every
+//! configuration.
+//!
 //! [`SimSession`] wraps the common lifecycle (build → warm → fork or
-//! run a timed window) so callers — the benchmark runner's warm-state
-//! cache in particular — never have to sequence raw constructor calls:
+//! run a timed window) so callers never have to sequence raw
+//! constructor calls:
 //!
 //! ```
 //! use nuba_core::SimSession;
@@ -35,13 +41,17 @@
 //! assert_eq!(a, b);
 //! ```
 
+use std::collections::HashSet;
+
+use nuba_types::addr::PageNum;
+use nuba_types::hash::IntBuildHasher;
 use nuba_types::invariant::{self, SiteSeed};
 use nuba_types::state::{
     fnv1a, restore_vec, SaveState, StateError, StateReader, StateValue, StateWriter,
     STATE_FORMAT_VERSION,
 };
-use nuba_types::GpuConfig;
-use nuba_workloads::Workload;
+use nuba_types::{GpuConfig, SmId, WarpId};
+use nuba_workloads::{WarpOp, WarpStream, Workload};
 
 use crate::error::SimError;
 use crate::gpu::GpuSimulator;
@@ -125,12 +135,6 @@ impl Checkpoint {
         let checksum = fnv1a(w.bytes());
         w.put_u64(checksum);
         w.into_bytes()
-    }
-
-    /// [`fnv1a`](nuba_types::state::fnv1a()) hash of the serialized form
-    /// — the content address persistent stores key dedup on.
-    pub fn content_hash(&self) -> u64 {
-        fnv1a(&self.to_bytes())
     }
 
     /// Decode a buffer produced by [`to_bytes`](Checkpoint::to_bytes).
@@ -283,6 +287,69 @@ pub fn default_warm_accesses(cfg: &GpuConfig, workload: &Workload) -> usize {
     let streams = (cfg.num_sms * cfg.sim_active_warps.min(cfg.warps_per_sm).max(1)) as u64;
     let lines = workload.layout().total_pages * (cfg.page_bytes / 128);
     (4 * lines / streams.max(1)).clamp(64, 4096) as usize
+}
+
+/// The first-touch trace [`GpuSimulator::warm`] replays: walk
+/// `accesses_per_warp` memory accesses of every active warp and return
+/// each page the walk reaches, once, at its first occurrence, with the
+/// SM that touched it.
+///
+/// Reads only `cfg`'s SM count, active warp count and page size — never
+/// its architecture, page policy or replication — so every configuration
+/// of one machine shape shares the trace; the configuration acts only
+/// when [`GpuSimulator::replay_first_touches`] hands the pages to the
+/// driver.
+pub fn first_touches(
+    cfg: &GpuConfig,
+    workload: &Workload,
+    accesses_per_warp: usize,
+) -> Vec<(PageNum, SmId)> {
+    let num_sms = cfg.num_sms;
+    let active_warps = cfg.sim_active_warps.min(cfg.warps_per_sm).max(1);
+    // Warp-major order: consecutive touches come from *different* SMs,
+    // as they would under concurrent execution — burst-faulting one SM's
+    // warps back-to-back would make LAB's least-first fallback spray
+    // pages that are really private.
+    let mut streams: Vec<WarpStream> = Vec::with_capacity(active_warps * num_sms);
+    for w in 0..active_warps {
+        for sm in 0..num_sms {
+            streams.push(workload.stream(SmId(sm), WarpId(w)));
+        }
+    }
+    // The layout numbers its pages densely from 0, so a flag per page
+    // answers "seen?" without hashing; a page outside that range (the
+    // machine's page size differs from the layout's) takes the set.
+    let mut seen_dense = vec![false; workload.layout().total_pages as usize];
+    let mut seen: HashSet<PageNum, IntBuildHasher> = HashSet::default();
+    let mut touches = Vec::new();
+    for round in 0..accesses_per_warp {
+        for (k, stream) in streams.iter_mut().enumerate() {
+            let sm = SmId(k % num_sms);
+            // CTAs launch in waves: low-numbered SMs start a little
+            // earlier. This is what lets first-touch concentrate hot
+            // shared pages on the earliest sharer's channel - the
+            // pathology LAB exists to fix (paper Fig. 6d/e).
+            if round < sm.0 / 2 {
+                continue;
+            }
+            // Skip compute blocks; take the next memory access.
+            let access = loop {
+                match stream.next_op() {
+                    WarpOp::Mem(a) => break a,
+                    WarpOp::Compute(_) => continue,
+                }
+            };
+            let vpage = access.vaddr.page(cfg.page_bytes);
+            let first = match seen_dense.get_mut(vpage.0 as usize) {
+                Some(flag) => !std::mem::replace(flag, true),
+                None => seen.insert(vpage),
+            };
+            if first {
+                touches.push((vpage, sm));
+            }
+        }
+    }
+    touches
 }
 
 /// Builder for a [`SimSession`]. Created by [`SimSession::builder`].
