@@ -1,4 +1,4 @@
-//! Correlation of the tier-0 analytical screen against full simulation
+//! Correlation of the advisory static screen against full simulation
 //! (Accel-Sim methodology): for all 29 Table-2 benchmarks, run the
 //! static kernel profiler's predictions and the cycle-level NUBA
 //! simulator side by side and report per-kernel footprint error,
@@ -47,7 +47,7 @@ fn dynamic_footprint(wl: &Workload, warps: usize, ops_per_warp: usize) -> (u64, 
 fn main() {
     figure_header(
         "Correlation",
-        "Static profiler (tier-0 screen) vs cycle-level simulation, 29 benchmarks",
+        "Static profiler (advisory screen) vs cycle-level simulation, 29 benchmarks",
     );
     let h = Harness::from_env();
     let (_, nuba_cfg) = main_configs()[3].clone();

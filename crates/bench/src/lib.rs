@@ -23,35 +23,8 @@ pub mod store;
 use std::sync::OnceLock;
 
 use nuba_core::{SimError, SimReport, SimSession};
-use nuba_types::{harmonic_mean_speedup, ArchKind, Fidelity, GpuConfig, ReplicationKind};
+use nuba_types::{harmonic_mean_speedup, ArchKind, GpuConfig, ReplicationKind};
 use nuba_workloads::{BenchmarkId, ScaleProfile, SharingClass, Workload};
-
-/// How `NUBA_FIDELITY` resolves: one fixed rung for every job, or a
-/// per-job choice (`auto`). Figure binaries never read the variable
-/// themselves — they see this resolved mode through
-/// [`HarnessOptions`] and the per-job [`Fidelity`] the
-/// [`runner`] attaches to each [`runner::JobResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FidelityMode {
-    /// Every job runs at this fidelity. The default is
-    /// `Fixed(Fidelity::Full)` — byte-identical to the pre-ladder
-    /// harness.
-    Fixed(Fidelity),
-    /// Tier-0 screen on every job: an informative screen stands alone
-    /// (no simulation), anything else runs at full detail (see
-    /// [`runner::tier0_screen`]).
-    Auto,
-}
-
-impl FidelityMode {
-    /// Parse a `NUBA_FIDELITY` value: `analytical`, `full` or `auto`.
-    pub fn parse(s: &str) -> Option<FidelityMode> {
-        match s.trim() {
-            "auto" => Some(FidelityMode::Auto),
-            t => t.parse().ok().map(FidelityMode::Fixed),
-        }
-    }
-}
 
 /// Every `NUBA_*` environment knob, parsed once at first use.
 ///
@@ -89,7 +62,7 @@ pub struct HarnessOptions {
     /// `NUBA_SIMCHECK_CYCLES`: cycles per simcheck configuration
     /// (default 8192).
     pub simcheck_cycles: u64,
-    /// `NUBA_SCREEN=1`: print the tier-0 analytical screen (static
+    /// `NUBA_SCREEN=1`: print the advisory static screen (static
     /// kernel profiler predictions) for each matrix's benchmarks before
     /// the runner executes it. Inert — and byte-identical output — when
     /// off.
@@ -144,20 +117,11 @@ pub struct HarnessOptions {
     /// artifact that carries wall-clock timestamps — explicitly exempt
     /// from the byte-determinism contract (DESIGN.md §16).
     pub matrix_trace: Option<String>,
-    /// `NUBA_FIDELITY`: the execution-fidelity ladder (DESIGN.md §17).
-    /// `full` (default), `analytical`, or `auto` for a per-job choice.
-    /// Any other value is an error.
-    pub fidelity: FidelityMode,
 }
 
 impl HarnessOptions {
     /// Parse every knob from the environment.
-    ///
-    /// # Errors
-    /// A one-line message when `NUBA_FIDELITY` is set to something other
-    /// than its three values — falling back to `full` would silently
-    /// run a mistyped `auto` matrix at 8× the cost.
-    pub fn from_env() -> Result<HarnessOptions, String> {
+    pub fn from_env() -> HarnessOptions {
         fn num<T: std::str::FromStr>(name: &str) -> Option<T> {
             std::env::var(name).ok().and_then(|v| v.parse().ok())
         }
@@ -170,13 +134,7 @@ impl HarnessOptions {
             None if full => Some(20_000),
             None => None,
         };
-        let fidelity = match path("NUBA_FIDELITY") {
-            None => FidelityMode::Fixed(Fidelity::Full),
-            Some(v) => FidelityMode::parse(&v).ok_or_else(|| {
-                format!("NUBA_FIDELITY={v:?} is not a fidelity (expected analytical | full | auto)")
-            })?,
-        };
-        Ok(HarnessOptions {
+        HarnessOptions {
             jobs: num("NUBA_JOBS")
                 .filter(|&n: &usize| n > 0)
                 .unwrap_or_else(|| {
@@ -207,22 +165,13 @@ impl HarnessOptions {
             metrics: path("NUBA_METRICS"),
             events: path("NUBA_EVENTS"),
             matrix_trace: path("NUBA_MATRIX_TRACE"),
-            fidelity,
-        })
+        }
     }
 
-    /// The process-wide snapshot, parsed on first call. A rejected
-    /// environment ([`from_env`](Self::from_env)) prints its message and
-    /// exits with status 2: every binary reads the snapshot before its
-    /// first job.
+    /// The process-wide snapshot, parsed on first call.
     pub fn get() -> &'static HarnessOptions {
         static OPTIONS: OnceLock<HarnessOptions> = OnceLock::new();
-        OPTIONS.get_or_init(|| {
-            HarnessOptions::from_env().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2)
-            })
-        })
+        OPTIONS.get_or_init(HarnessOptions::from_env)
     }
 }
 
@@ -331,9 +280,8 @@ pub fn main_configs() -> [(&'static str, GpuConfig); 4] {
 
 /// The `simcheck` architecture matrix: both UBA baselines and NUBA
 /// with each replication / page-allocation policy the paper evaluates
-/// (11 configurations). Shared by the invariant gate (`simcheck`), the
-/// fidelity-ladder validation (`fig_fidelity`), and the ladder's
-/// integration tests, so they all exercise the same machine space.
+/// (11 configurations), the machine space the invariant gate
+/// (`simcheck`) exercises.
 pub fn simcheck_configs() -> Vec<(String, GpuConfig)> {
     let mut out = vec![
         (
@@ -507,22 +455,6 @@ mod tests {
         assert!((m.low - harmonic_mean_speedup(&[1.5, 1.3])).abs() < 1e-12);
         assert!((m.high - harmonic_mean_speedup(&[1.2, 1.4])).abs() < 1e-12);
         assert!(m.all > 1.0);
-    }
-
-    #[test]
-    fn fidelity_mode_accepts_exactly_three_values() {
-        assert_eq!(
-            FidelityMode::parse("analytical"),
-            Some(FidelityMode::Fixed(Fidelity::Analytical))
-        );
-        assert_eq!(
-            FidelityMode::parse("full"),
-            Some(FidelityMode::Fixed(Fidelity::Full))
-        );
-        assert_eq!(FidelityMode::parse("auto"), Some(FidelityMode::Auto));
-        for bad in ["sampled", "sampled:4x512", "1", "atuo", ""] {
-            assert_eq!(FidelityMode::parse(bad), None, "{bad:?}");
-        }
     }
 
     #[test]

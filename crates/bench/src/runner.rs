@@ -53,12 +53,11 @@ use nuba_core::{
 use nuba_engine::FaultPlan;
 use nuba_types::addr::PageNum;
 use nuba_types::state::{fnv1a, StateError, StateValue, StateWriter};
-use nuba_types::{Fidelity, GpuConfig, Histogram, MetricsRegistry, SmId};
+use nuba_types::{GpuConfig, Histogram, MetricsRegistry, SmId};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
 
-use crate::screen::{screen_benchmark, ScreenPrediction};
 use crate::store::{decode_trace, encode_trace, CheckpointStore, StoreKey, StoreStats};
-use crate::{FidelityMode, Harness, HarnessOptions};
+use crate::{Harness, HarnessOptions};
 
 /// One simulation in an experiment matrix.
 #[derive(Debug, Clone)]
@@ -89,10 +88,6 @@ pub struct Job {
     /// Sanctioned chaos knob: panic instead of simulating, to prove the
     /// matrix survives a dying job. Never set outside chaos drills.
     pub inject_panic: bool,
-    /// Execution-fidelity override for this job. `None` defers to the
-    /// process-wide `NUBA_FIDELITY` mode (fixed rung or `auto`);
-    /// `Some` pins this job to one rung regardless of the mode.
-    pub fidelity: Option<Fidelity>,
 }
 
 impl Job {
@@ -108,7 +103,6 @@ impl Job {
             deadline: None,
             wall_deadline_secs: None,
             inject_panic: false,
-            fidelity: None,
         }
     }
 
@@ -156,15 +150,6 @@ impl Job {
     #[must_use]
     pub fn with_injected_panic(mut self) -> Job {
         self.inject_panic = true;
-        self
-    }
-
-    /// Pin this job to one fidelity rung, overriding the process-wide
-    /// `NUBA_FIDELITY` mode (`fig_fidelity` pins its truth runs to
-    /// tier 2 whatever the mode).
-    #[must_use]
-    pub fn with_fidelity(mut self, fidelity: Fidelity) -> Job {
-        self.fidelity = Some(fidelity);
         self
     }
 }
@@ -266,10 +251,6 @@ pub struct JobResult {
     /// Wall-clock offset of each attempt's start relative to the
     /// matrix start (one entry per attempt; matrix-trace only).
     pub attempt_offsets_secs: Vec<f64>,
-    /// The fidelity rung the report was produced at (what `auto`
-    /// resolved to). [`Fidelity::Full`] for jobs that never produced a
-    /// report.
-    pub fidelity: Fidelity,
 }
 
 impl JobResult {
@@ -807,44 +788,23 @@ impl DetailedWindow<'_> {
     }
 }
 
+/// What a successful attempt hands back: the report and the job's
+/// retained telemetry.
+struct JobOutput {
+    report: SimReport,
+    windows: Vec<TelemetryWindow>,
+    trace: Vec<TraceRecord>,
+}
+
 /// One attempt at a job: build, warm, arm faults/watchdog, run. Every
 /// failure mode surfaces as `Err` (validation, watchdog, cancellation,
 /// wall deadline) or a panic (workload/config mismatch, internal bug)
-/// — the caller catches both. On success, the job's retained telemetry
-/// rides along with the report.
+/// — the caller catches both.
 ///
 /// `resume` carries the job's latest mid-run checkpoint between
 /// attempts: when `NUBA_CHECKPOINT_EVERY` is active (on by default
 /// under `NUBA_FULL`), a retry restores the last good chunk instead of
 /// starting over.
-struct JobOutput {
-    report: SimReport,
-    windows: Vec<TelemetryWindow>,
-    trace: Vec<TraceRecord>,
-    /// The rung the report was produced at.
-    fidelity: Fidelity,
-}
-
-/// The fidelity ladder's whole policy, as a function of the job's pin,
-/// the process-wide mode and the tier-0 screen: a pin wins over the
-/// mode; a fixed rung is that rung; `auto` lets an informative screen
-/// stand alone at tier 0 and runs everything else at full detail.
-/// Returns the screen when the job's rung is [`Fidelity::Analytical`]
-/// (tier 0 builds its report from it) and `None` when it is
-/// [`Fidelity::Full`]. `screen` is called at most once, and not at all
-/// for a fixed `Full`.
-pub fn tier0_screen(
-    pin: Option<Fidelity>,
-    mode: FidelityMode,
-    screen: impl FnOnce() -> ScreenPrediction,
-) -> Option<ScreenPrediction> {
-    match pin.map_or(mode, FidelityMode::Fixed) {
-        FidelityMode::Fixed(Fidelity::Full) => None,
-        FidelityMode::Fixed(Fidelity::Analytical) => Some(screen()),
-        FidelityMode::Auto => Some(screen()).filter(ScreenPrediction::informative),
-    }
-}
-
 fn execute_job(
     ctx: &RunnerCtx,
     h: &Harness,
@@ -870,24 +830,6 @@ fn execute_job(
     }
     if opts.trace.is_some() && cfg.telemetry.trace_sample_period == 0 {
         cfg.telemetry.trace_sample_period = ENV_TRACE_PERIOD;
-    }
-    if let Some(screen) = tier0_screen(job.fidelity, opts.fidelity, || {
-        screen_benchmark(job.bench, &scale, &cfg)
-    }) {
-        if job.inject_panic {
-            panic!("injected chaos panic (Job::with_injected_panic)");
-        }
-        // Tier 0 stands alone: no simulator is built. The screen's
-        // predictions (roofline throughput, saturation-curve
-        // bandwidths) are cast into the report shape so an analytical
-        // matrix still renders — marked as tier 0 by the result's
-        // `fidelity` field.
-        return Ok(JobOutput {
-            report: screen.synthetic_report(&cfg, h.cycles),
-            windows: Vec::new(),
-            trace: Vec::new(),
-            fidelity: Fidelity::Analytical,
-        });
     }
     let wl = Workload::build(job.bench, scale, cfg.num_sms, seed);
     let mut gpu = match resume.take() {
@@ -932,7 +874,6 @@ fn execute_job(
         report,
         windows,
         trace,
-        fidelity: Fidelity::Full,
     })
 }
 
@@ -990,7 +931,6 @@ fn empty_result(
         events: lifecycle.events,
         start_offset_secs: lifecycle.start_offset_secs,
         attempt_offsets_secs: lifecycle.attempt_offsets_secs,
-        fidelity: job.fidelity.unwrap_or(Fidelity::Full),
     }
 }
 
@@ -1075,7 +1015,6 @@ fn run_job(
                     events,
                     start_offset_secs,
                     attempt_offsets_secs: attempt_offsets,
-                    fidelity: out.fidelity,
                 };
             }
             Ok((Err(JobAbort::Cancelled), ev)) => {
@@ -1157,7 +1096,7 @@ pub fn run_matrix_ctx_with(
     jobs: &[Job],
     threads: usize,
 ) -> Vec<JobResult> {
-    // Tier-0 stage: the static analytical screen, opt-in via
+    // Advisory stage: the static analytical screen, opt-in via
     // `NUBA_SCREEN=1` and guaranteed inert (not a byte of output, no
     // simulation effect) otherwise.
     crate::screen::print_screen_if_enabled(h, jobs);
@@ -1433,11 +1372,6 @@ pub struct MatrixStats {
     pub cpu_seconds: f64,
     /// Total simulated cycles across the matrix.
     pub total_cycles: u64,
-    /// Cycles simulated across the matrix: equals `total_cycles` when
-    /// every job ran at full fidelity, less by the windows of the jobs
-    /// tier 0 answered alone. `total_cycles / detailed_cycles` is the
-    /// ladder's detail-reduction factor.
-    pub detailed_cycles: u64,
     /// Jobs that were quarantined instead of completing (failures and
     /// wall-clock timeouts).
     pub quarantined: usize,
@@ -1455,13 +1389,6 @@ impl MatrixStats {
             jobs: results.len(),
             cpu_seconds: results.iter().map(|r| r.wall_seconds).sum(),
             total_cycles: results.iter().map(|r| r.report.cycles).sum(),
-            // Tier-0 jobs synthesize a report without simulating: they
-            // contribute window cycles but zero detailed cycles.
-            detailed_cycles: results
-                .iter()
-                .filter(|r| r.fidelity.simulates())
-                .map(|r| r.report.cycles)
-                .sum(),
             quarantined: results.iter().filter(|r| r.failed()).count(),
             cancelled: results.iter().filter(|r| r.cancelled()).count(),
             timed_out: results
@@ -1476,7 +1403,6 @@ impl MatrixStats {
         self.jobs += other.jobs;
         self.cpu_seconds += other.cpu_seconds;
         self.total_cycles += other.total_cycles;
-        self.detailed_cycles += other.detailed_cycles;
         self.quarantined += other.quarantined;
         self.cancelled += other.cancelled;
         self.timed_out += other.timed_out;
@@ -1511,7 +1437,7 @@ impl RunnerRecord {
             "    {{\"nuba_jobs\": {}, \"jobs\": {}, \"quarantined\": {}, \
              \"cancelled\": {}, \"timed_out\": {}, \
              \"wall_seconds\": {:.3}, \"cpu_seconds\": {:.3}, \
-             \"total_cycles\": {}, \"detailed_cycles\": {}, \
+             \"total_cycles\": {}, \
              \"cycles_per_sec\": {:.0}, \
              \"store_hits\": {}, \"store_misses\": {}, \"store_inserts\": {}, \
              \"store_write_errors\": {}, \"store_quarantined\": {}, \
@@ -1524,7 +1450,6 @@ impl RunnerRecord {
             self.wall_seconds,
             self.stats.cpu_seconds,
             self.stats.total_cycles,
-            self.stats.detailed_cycles,
             cps,
             self.store.hits,
             self.store.misses,
@@ -1545,19 +1470,13 @@ impl RunnerRecord {
                 .unwrap_or(rest.len());
             rest[..end].parse().ok()
         };
-        let total_cycles = field("total_cycles")? as u64;
         Some(RunnerRecord {
             nuba_jobs: field("nuba_jobs")? as usize,
             wall_seconds: field("wall_seconds")?,
             stats: MatrixStats {
                 jobs: field("jobs")? as usize,
                 cpu_seconds: field("cpu_seconds")?,
-                total_cycles,
-                // Records written before the fidelity ladder simulated
-                // every cycle in detail.
-                detailed_cycles: field("detailed_cycles")
-                    .map(|v| v as u64)
-                    .unwrap_or(total_cycles),
+                total_cycles: field("total_cycles")? as u64,
                 // Absent in records written before fault quarantine /
                 // lifecycle outcomes landed.
                 quarantined: field("quarantined").map(|v| v as usize).unwrap_or(0),
@@ -1918,7 +1837,6 @@ mod tests {
                 jobs: 7,
                 cpu_seconds: 40.5,
                 total_cycles: 420_000,
-                detailed_cycles: 60_000,
                 quarantined: 2,
                 cancelled: 1,
                 timed_out: 1,
@@ -1937,21 +1855,18 @@ mod tests {
         assert_eq!(back.nuba_jobs, 4);
         assert_eq!(back.stats.jobs, 7);
         assert_eq!(back.stats.total_cycles, 420_000);
-        assert_eq!(back.stats.detailed_cycles, 60_000);
         assert_eq!(back.stats.cancelled, 1);
         assert_eq!(back.stats.timed_out, 1);
         assert_eq!(back.store.hits, 5);
         assert_eq!(back.store.evictions, 3);
         assert!((back.wall_seconds - 12.345).abs() < 1e-9);
 
-        // Records written before lifecycle outcomes parse with zeros;
-        // pre-ladder records count every cycle as detailed.
+        // Records written before lifecycle outcomes parse with zeros.
         let legacy = "    {\"nuba_jobs\": 2, \"jobs\": 3, \"quarantined\": 0, \
                       \"wall_seconds\": 1.000, \"cpu_seconds\": 2.000, \
                       \"total_cycles\": 100, \"cycles_per_sec\": 100}";
         let old = RunnerRecord::parse_json_line(legacy).expect("legacy parses");
         assert_eq!((old.stats.cancelled, old.stats.timed_out), (0, 0));
-        assert_eq!(old.stats.detailed_cycles, 100);
         assert_eq!(old.store, StoreStats::default());
     }
 
@@ -1968,7 +1883,6 @@ mod tests {
                 jobs: 3,
                 cpu_seconds: wall,
                 total_cycles: 1000,
-                detailed_cycles: 1000,
                 quarantined: 0,
                 cancelled: 0,
                 timed_out: 0,

@@ -1,6 +1,6 @@
-//! Tier-0 analytical screen: the static kernel profiler's predictions
-//! for a benchmark, evaluated through the MDR §5.1 bandwidth equations
-//! — the first rung of the fidelity ladder.
+//! The static screen: the static kernel profiler's predictions for a
+//! benchmark, evaluated through the MDR §5.1 bandwidth equations. It is
+//! advisory only — it never stands in for a simulation (DESIGN.md §17).
 //!
 //! The screen simulates nothing. It binds the compiler's
 //! [`KernelStaticProfile`](nuba_compiler::KernelStaticProfile) to the
@@ -21,46 +21,13 @@
 
 use nuba_core::mdr::paper_slice_bandwidths;
 use nuba_core::{mdr_static_screen, MdrProfile, ScreenVerdict};
-use nuba_types::{ErrorBound, GpuConfig};
+use nuba_types::GpuConfig;
 use nuba_workloads::{static_workload_profile, BenchmarkId, ScaleProfile, StaticWorkloadProfile};
 
 use crate::runner::Job;
 use crate::{Harness, HarnessOptions};
 
-/// One bandwidth tier's predicted operating point on its saturation
-/// curve: static demand against the link's supply. The curve is the
-/// standard single-server saturating form — delivered throughput
-/// `demand / (1 + demand/supply)` approaches `supply` asymptotically —
-/// so "how far up the curve" a link sits is a dimensionless utilization
-/// that stays meaningful past 1.0 (over-subscription depth).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkSaturation {
-    /// Stable tier name (`local_link` / `noc` / `dram`).
-    pub name: &'static str,
-    /// Demanded bytes per cycle on this tier.
-    pub demand_bpc: f64,
-    /// The tier's supply in bytes per cycle.
-    pub supply_bpc: f64,
-}
-
-impl LinkSaturation {
-    /// Demand over supply (1.0 = the knee of the curve).
-    pub fn utilization(&self) -> f64 {
-        self.demand_bpc / self.supply_bpc.max(1e-9)
-    }
-
-    /// Delivered bytes per cycle on the saturating curve.
-    pub fn delivered_bpc(&self) -> f64 {
-        self.demand_bpc / (1.0 + self.utilization())
-    }
-
-    /// Whether the tier is past the knee (demand ≥ supply).
-    pub fn saturated(&self) -> bool {
-        self.utilization() >= 1.0
-    }
-}
-
-/// Everything the tier-0 screen predicts for one benchmark.
+/// Everything the static screen predicts for one benchmark.
 #[derive(Debug, Clone)]
 pub struct ScreenPrediction {
     /// The benchmark.
@@ -73,15 +40,6 @@ pub struct ScreenPrediction {
     /// cycle over the winning §5.1 supply estimate. Below 1.0 the
     /// machine keeps up and the kernel is predicted compute-bound.
     pub utilization: f64,
-    /// Per-tier saturation operating points (local link, NoC, DRAM),
-    /// in fixed order.
-    pub links: [LinkSaturation; 3],
-    /// Roofline band on machine IPC (warp ops per cycle): the binding
-    /// roof — latency roof vs bandwidth roof — evaluated at both §5.1
-    /// supply corners (no replication / full replication); mean is the
-    /// midpoint, half-width half the spread. An upper-bound model: the
-    /// simulator should land at or below the band, never far above it.
-    pub roofline: ErrorBound,
 }
 
 impl ScreenPrediction {
@@ -113,49 +71,6 @@ impl ScreenPrediction {
             self.predicted_bottleneck(),
             races.join(",")
         )
-    }
-
-    /// Whether the screen alone is decisive enough to skip simulation
-    /// on: exactly one story must be consistent with the model.
-    /// Informative means either the memory system clearly keeps up
-    /// (utilization under 0.75 — compute-bound, no contested resource)
-    /// or one tier is clearly the choke point (the most-utilized tier
-    /// at least 25% above the runner-up *and* past the knee). Under
-    /// `auto` a non-informative screen sends the job to full detail.
-    pub fn informative(&self) -> bool {
-        if self.utilization < 0.75 {
-            return true;
-        }
-        let mut utils: Vec<f64> = self.links.iter().map(LinkSaturation::utilization).collect();
-        utils.sort_by(|a, b| b.partial_cmp(a).expect("finite utilizations"));
-        utils[0] >= 1.0 && utils[0] >= 1.25 * utils[1]
-    }
-
-    /// Cast the screen's predictions into the [`nuba_core::SimReport`] shape so a
-    /// tier-0 job can flow through the same figure arithmetic as a
-    /// simulated one. Only what the screen actually models is
-    /// populated — throughput (roofline midpoint), reply rate, and
-    /// per-tier delivered bytes off the saturation curves; counters
-    /// the screen has no model for stay zero. Rates are floored at one
-    /// count so downstream ratio math (harmonic means of reply-rate
-    /// gains) never divides by an exact zero.
-    pub fn synthetic_report(&self, cfg: &GpuConfig, cycles: u64) -> nuba_core::SimReport {
-        let mut r = nuba_core::SimReport::empty();
-        let c = cycles as f64;
-        let sms = cfg.num_sms as f64;
-        let slices = cfg.num_llc_slices.max(1) as f64;
-        let line = nuba_types::LINE_BYTES as f64;
-        r.cycles = cycles;
-        r.warp_ops = (self.roofline.mean * c).max(1.0) as u64;
-        let local_bpc = self.links[0].delivered_bpc() * sms;
-        let noc_bpc = self.links[1].delivered_bpc() * slices;
-        let dram_bpc = self.links[2].delivered_bpc() * slices;
-        r.local_link_bytes = (local_bpc * c) as u64;
-        r.noc_bytes = (noc_bpc * c) as u64;
-        r.dram_accesses = (dram_bpc * c / line) as u64;
-        let wf = self.bench.spec().write_fraction.clamp(0.0, 1.0);
-        r.read_replies = (local_bpc * (1.0 - wf) * c / line).max(1.0) as u64;
-        r
     }
 
     /// Whether the screen's bottleneck agrees with the simulator's
@@ -216,50 +131,11 @@ pub fn screen_benchmark(
     let supply = verdict.estimate.bw_no_rep.max(verdict.estimate.bw_full_rep);
     let utilization = demand_per_slice / supply.max(1e-9);
 
-    // Per-tier saturation operating points, all per slice so they are
-    // commensurable with the §5.1 supplies: the local links see every
-    // L1 miss, the NoC only the remote fraction, DRAM only what misses
-    // the LLC (under the better of the two replication hit rates).
-    let bw = paper_slice_bandwidths(cfg.noc_port_bytes_per_cycle());
-    let per_sm_demand = sm_op_rate * bytes_per_op;
-    let hit_est = m.hit_no_rep.max(m.hit_full_rep);
-    let links = [
-        LinkSaturation {
-            name: "local_link",
-            demand_bpc: per_sm_demand,
-            supply_bpc: cfg.local_link_bytes_per_cycle as f64,
-        },
-        LinkSaturation {
-            name: "noc",
-            demand_bpc: demand_per_slice * (1.0 - m.frac_local),
-            supply_bpc: bw.bw_noc,
-        },
-        LinkSaturation {
-            name: "dram",
-            demand_bpc: demand_per_slice * (1.0 - hit_est),
-            supply_bpc: bw.bw_mem,
-        },
-    ];
-
-    // Roofline band on machine IPC: the binding roof is the lower of
-    // the latency roof (how fast the warps can cycle) and the
-    // bandwidth roof (how many ops the memory system can feed), the
-    // latter evaluated at both §5.1 supply corners. The band spans the
-    // two corners; a replication-insensitive kernel collapses it.
-    let roof_latency = cfg.num_sms as f64 * sm_op_rate;
-    let roof_bw = |supply_per_slice: f64| supply_per_slice * slices / bytes_per_op.max(1e-9);
-    let corner_a = roof_latency.min(roof_bw(verdict.estimate.bw_no_rep));
-    let corner_b = roof_latency.min(roof_bw(verdict.estimate.bw_full_rep));
-    let (lo, hi) = (corner_a.min(corner_b), corner_a.max(corner_b));
-    let roofline = ErrorBound::new((lo + hi) / 2.0, (hi - lo) / 2.0);
-
     ScreenPrediction {
         bench,
         profile,
         verdict,
         utilization,
-        links,
-        roofline,
     }
 }
 
@@ -280,7 +156,7 @@ pub fn screen_matrix(h: &Harness, jobs: &[Job]) -> Vec<ScreenPrediction> {
     out
 }
 
-/// The runner's tier-0 stage: print the screen for a matrix when
+/// The runner's advisory stage: print the screen for a matrix when
 /// `NUBA_SCREEN=1`. A no-op — not a byte of output — otherwise.
 pub fn print_screen_if_enabled(h: &Harness, jobs: &[Job]) {
     if !HarnessOptions::get().screen {
@@ -334,37 +210,6 @@ mod tests {
         for &b in BenchmarkId::ALL {
             let p = screen_benchmark(b, &ScaleProfile::default(), &nuba_cfg());
             assert_eq!(p.profile.sharing_class(), b.spec().sharing, "{b}");
-        }
-    }
-
-    #[test]
-    fn saturation_and_roofline_are_sane() {
-        for &b in BenchmarkId::ALL {
-            let p = screen_benchmark(b, &ScaleProfile::default(), &nuba_cfg());
-            for l in &p.links {
-                assert!(l.demand_bpc >= 0.0, "{b}: negative demand on {}", l.name);
-                assert!(l.supply_bpc > 0.0, "{b}: zero supply on {}", l.name);
-                // The saturating curve never delivers more than supply
-                // or more than demand.
-                assert!(l.delivered_bpc() <= l.supply_bpc + 1e-9);
-                assert!(l.delivered_bpc() <= l.demand_bpc + 1e-9);
-            }
-            // The roofline is an upper-bound band: positive, and never
-            // above the machine's issue roof.
-            assert!(p.roofline.hi() > 0.0, "{b}: empty roofline");
-            assert!(p.roofline.hi() <= nuba_cfg().num_sms as f64 + 1e-9);
-            // informative() must be total (no NaN panics) on all 29.
-            let _ = p.informative();
-        }
-    }
-
-    #[test]
-    fn underutilized_screen_is_informative() {
-        // A compute-heavy benchmark with high L1 reuse keeps the memory
-        // system idle; the screen should be decisively compute-bound.
-        let p = screen_benchmark(BenchmarkId::Sgemm, &ScaleProfile::default(), &nuba_cfg());
-        if p.utilization < 0.75 {
-            assert!(p.informative());
         }
     }
 

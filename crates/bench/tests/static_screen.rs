@@ -7,7 +7,7 @@
 //! - the statically-proven read-only prefix of the address space is
 //!   never written dynamically (stores and atomics land strictly above
 //!   it);
-//! - the tier-0 screen is inert unless `NUBA_SCREEN=1`.
+//! - the advisory screen is inert unless `NUBA_SCREEN=1`.
 
 use nuba_bench::screen::{print_screen_if_enabled, screen_benchmark};
 use nuba_bench::{Harness, HarnessOptions};

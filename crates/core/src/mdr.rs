@@ -248,7 +248,7 @@ impl ScreenBottleneck {
     }
 }
 
-/// The tier-0 analytical screen's verdict for one kernel.
+/// The static screen's verdict for one kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScreenVerdict {
     /// The two §5.1 estimates on the static inputs.
@@ -259,7 +259,7 @@ pub struct ScreenVerdict {
     pub bottleneck: ScreenBottleneck,
 }
 
-/// Tier-0 analytical screen: evaluate the §5.1 equations on *statically*
+/// Static screen: evaluate the §5.1 equations on *statically*
 /// derived profile inputs (from `nuba-workloads`' static kernel
 /// profiler) instead of epoch counters — predicting, before a single
 /// simulated cycle, whether MDR should replicate and which resource

@@ -936,7 +936,13 @@ impl GpuConfig {
         if !self.num_channels.is_power_of_two() {
             return err("num_channels must be a power of two (address-map channel bits)");
         }
-        if self.llc_slice_sets() == 0 {
+        if self.llc_ways == 0 || self.llc_mshrs == 0 {
+            return err("llc_ways and llc_mshrs must be non-zero");
+        }
+        // Checked, so an absurd associativity is an error, not an
+        // overflow; every set-size computation below it is then safe.
+        let set_bytes = |ways: usize| ways.checked_mul(crate::addr::LINE_BYTES as usize);
+        if set_bytes(self.llc_ways).is_none_or(|b| self.llc_slice_bytes() < b) {
             return err("llc slice too small for its associativity");
         }
         if self.warps_per_sm == 0 || self.sim_active_warps == 0 || self.threads_per_warp == 0 {
@@ -950,14 +956,14 @@ impl GpuConfig {
         if self.l1_ways == 0 || self.l1_mshrs == 0 {
             return err("l1_ways and l1_mshrs must be non-zero");
         }
+        if set_bytes(self.l1_ways).is_none_or(|b| self.l1_bytes < b) {
+            return err("l1_bytes must hold at least one set");
+        }
         if !self
             .l1_bytes
             .is_multiple_of(self.l1_ways * crate::addr::LINE_BYTES as usize)
         {
             return err("l1_bytes must be a whole number of sets (ways x line size)");
-        }
-        if self.llc_ways == 0 || self.llc_mshrs == 0 {
-            return err("llc_ways and llc_mshrs must be non-zero");
         }
         if self.llc_bytes_per_cycle == 0 {
             return err("llc_bytes_per_cycle must be non-zero (the data array could never stream)");

@@ -25,7 +25,6 @@
 
 pub mod addr;
 pub mod config;
-pub mod fidelity;
 pub mod hash;
 pub mod ids;
 pub mod invariant;
@@ -40,7 +39,6 @@ pub use config::{
     ArchKind, ConfigError, GpuConfig, McmConfig, NocPowerParams, PagePolicyKind, ReplicationKind,
     TelemetryConfig,
 };
-pub use fidelity::{ErrorBound, Fidelity, ParseFidelityError};
 pub use hash::IntMap;
 pub use ids::{ChannelId, ModuleId, PartitionId, SliceId, SmId, WarpId};
 pub use mapping::{AddressMapping, DecodedAddr, MappingKind};

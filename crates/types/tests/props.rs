@@ -1,7 +1,8 @@
 //! Property tests: the partition-aware address map (paper Fig. 2) must
-//! round-trip driver placements and keep pages channel-pure, and the
+//! round-trip driver placements and keep pages channel-pure, the
 //! checkpoint codec must reject arbitrary byte soup with typed errors,
-//! never a panic.
+//! never a panic, and `GpuConfig::validate` must answer every
+//! single-field edit of a baseline without panicking.
 
 use proptest::prelude::*;
 
@@ -167,6 +168,150 @@ mod state_adversarial {
                         break;
                     }
                     Err(e) => prop_assert!(false, "unexpected error {e}"),
+                }
+            }
+        }
+    }
+}
+
+mod config_validate {
+    //! `GpuConfig::validate` is the gate in front of the simulator's
+    //! constructor: on any one-field edit of a baseline it must return a
+    //! verdict, never panic, and an `Ok` must promise the cache
+    //! geometries the constructor builds from the config.
+
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use nuba_cache::CacheGeometry;
+    use proptest::prelude::*;
+
+    use nuba_types::{ArchKind, GpuConfig};
+
+    const ARCHS: [ArchKind; 5] = [
+        ArchKind::MemSideUba,
+        ArchKind::SmSideUba,
+        ArchKind::Nuba,
+        ArchKind::McmUba,
+        ArchKind::McmNuba,
+    ];
+
+    type Setter = fn(&mut GpuConfig, u64);
+
+    /// Every integer field of the config, nested ones included.
+    const FIELDS: &[(&str, Setter)] = &[
+        ("num_sms", |c, v| c.num_sms = v as usize),
+        ("num_llc_slices", |c, v| c.num_llc_slices = v as usize),
+        ("num_channels", |c, v| c.num_channels = v as usize),
+        ("warps_per_sm", |c, v| c.warps_per_sm = v as usize),
+        ("sim_active_warps", |c, v| c.sim_active_warps = v as usize),
+        ("threads_per_warp", |c, v| c.threads_per_warp = v as usize),
+        ("sm_max_outstanding", |c, v| {
+            c.sm_max_outstanding = v as usize
+        }),
+        ("l1_bytes", |c, v| c.l1_bytes = v as usize),
+        ("l1_ways", |c, v| c.l1_ways = v as usize),
+        ("l1_mshrs", |c, v| c.l1_mshrs = v as usize),
+        ("l1_latency", |c, v| c.l1_latency = v),
+        ("llc_total_bytes", |c, v| c.llc_total_bytes = v as usize),
+        ("llc_ways", |c, v| c.llc_ways = v as usize),
+        ("llc_latency", |c, v| c.llc_latency = v),
+        ("llc_mshrs", |c, v| c.llc_mshrs = v as usize),
+        ("llc_bytes_per_cycle", |c, v| c.llc_bytes_per_cycle = v),
+        ("page_bytes", |c, v| c.page_bytes = v),
+        ("l1_tlb_entries", |c, v| c.l1_tlb_entries = v as usize),
+        ("l2_tlb_entries", |c, v| c.l2_tlb_entries = v as usize),
+        ("l2_tlb_ways", |c, v| c.l2_tlb_ways = v as usize),
+        ("l2_tlb_latency", |c, v| c.l2_tlb_latency = v),
+        ("page_walkers", |c, v| c.page_walkers = v as usize),
+        ("walk_latency", |c, v| c.walk_latency = v),
+        ("page_fault_latency", |c, v| c.page_fault_latency = v),
+        ("noc_stage_latency", |c, v| c.noc_stage_latency = v),
+        ("noc_subxbars", |c, v| c.noc_subxbars = v as usize),
+        ("local_link_bytes_per_cycle", |c, v| {
+            c.local_link_bytes_per_cycle = v
+        }),
+        ("dram_clock_divider", |c, v| c.dram_clock_divider = v),
+        ("banks_per_channel", |c, v| c.banks_per_channel = v as usize),
+        ("mc_queue_entries", |c, v| c.mc_queue_entries = v as usize),
+        ("dram_burst_bytes", |c, v| c.dram_burst_bytes = v),
+        ("dram_row_bytes", |c, v| c.dram_row_bytes = v),
+        ("mdr_epoch_cycles", |c, v| c.mdr_epoch_cycles = v),
+        ("mdr_eval_cycles", |c, v| c.mdr_eval_cycles = v),
+        ("mdr_sample_sets", |c, v| c.mdr_sample_sets = v as usize),
+        ("kernel_boundary_cycles", |c, v| {
+            c.kernel_boundary_cycles = Some(v)
+        }),
+        ("watchdog_cycles", |c, v| c.watchdog_cycles = Some(v)),
+        ("seed", |c, v| c.seed = v),
+        ("telemetry.window_cycles", |c, v| {
+            c.telemetry.window_cycles = Some(v)
+        }),
+        ("telemetry.ring_windows", |c, v| {
+            c.telemetry.ring_windows = v as usize
+        }),
+        ("telemetry.trace_sample_period", |c, v| {
+            c.telemetry.trace_sample_period = v
+        }),
+        ("telemetry.trace_capacity", |c, v| {
+            c.telemetry.trace_capacity = v as usize
+        }),
+        ("mcm.num_modules", |c, v| c.mcm.num_modules = v as usize),
+    ];
+
+    /// A field value: 0, 1, a small odd number, the largest, or any.
+    fn value() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64).boxed(),
+            Just(1u64).boxed(),
+            (1u64..8).prop_map(|k| 2 * k + 1).boxed(),
+            Just(u64::MAX).boxed(),
+            any::<u64>().boxed(),
+        ]
+    }
+
+    /// `Err` when `validate` panics, or accepts a config whose L1 or
+    /// LLC-slice geometry cannot be built.
+    fn check(cfg: &GpuConfig) -> Result<(), String> {
+        let verdict = catch_unwind(AssertUnwindSafe(|| cfg.validate()))
+            .map_err(|_| "validate panicked".to_string())?;
+        if verdict.is_ok() {
+            CacheGeometry::try_from_capacity(cfg.l1_bytes, cfg.l1_ways)
+                .map_err(|e| format!("validated, but the L1: {e}"))?;
+            CacheGeometry::try_new(cfg.llc_slice_sets(), cfg.llc_ways)
+                .map_err(|e| format!("validated, but the LLC slice: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Zero LLC ways used to divide by zero computing the slice's set
+    /// count before the zero-ways check ran.
+    #[test]
+    fn zero_llc_ways_is_an_error_not_a_panic() {
+        let mut cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
+        cfg.llc_ways = 0;
+        assert_eq!(check(&cfg), Ok(()));
+        assert!(cfg.validate().is_err());
+    }
+
+    /// A zero-byte L1 is a multiple of every set size, so it used to
+    /// pass validation and then panic building the L1 geometry.
+    #[test]
+    fn zero_l1_bytes_is_rejected() {
+        let mut cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
+        cfg.l1_bytes = 0;
+        let e = cfg.validate().unwrap_err();
+        assert!(e.0.contains("at least one set"), "{e}");
+    }
+
+    proptest! {
+        #[test]
+        fn validate_never_panics_and_ok_builds_the_caches(v in value()) {
+            for arch in ARCHS {
+                for (name, set) in FIELDS {
+                    let mut cfg = GpuConfig::paper_baseline(arch);
+                    set(&mut cfg, v);
+                    let r = check(&cfg);
+                    prop_assert!(r.is_ok(), "{arch:?} with {name} = {v}: {}", r.unwrap_err());
                 }
             }
         }

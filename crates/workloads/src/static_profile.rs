@@ -1,6 +1,6 @@
 //! Static workload profiles: the compiler's [`KernelStaticProfile`]
-//! bound to a benchmark's region layout — the tier-0 rung of the
-//! fidelity ladder (ROADMAP item 2).
+//! bound to a benchmark's region layout — the input of `nuba-bench`'s
+//! advisory static screen.
 //!
 //! A benchmark's kernel parameters map onto address regions by the
 //! convention documented in [`crate::kernels`]: `S`/`S2` → the shared
@@ -17,7 +17,7 @@
 //!   the kernel stores to non-atomically ([`RaceReport`]);
 //! - the MDR screen inputs (local fraction, LLC hit estimates with and
 //!   without replication) feeding `nuba-core`'s §5.1 bandwidth
-//!   equations in `nuba-bench`'s analytical screen.
+//!   equations in the screen.
 //!
 //! [`WorkloadLayout::build`]: crate::layout::WorkloadLayout::build
 
