@@ -8,7 +8,6 @@
 //! ```
 
 use nuba_bench::runner::{run_matrix, Job, JobResult};
-use nuba_bench::store::{CheckpointStore, StoreKey};
 use nuba_bench::{Harness, HarnessOptions};
 use nuba_core::{Checkpoint, SimReport, SimSession};
 use nuba_types::{ArchKind, GpuConfig, MappingKind, PagePolicyKind, ReplicationKind};
@@ -441,17 +440,8 @@ fn checkpoint_run(a: &Args, bench: BenchmarkId, path: &str) {
     });
     let ckpt = sess.checkpoint();
     let bytes = ckpt.to_bytes();
-    // When a persistent store is configured, commit there first — this
-    // is the (optionally stalled) write the crash-recovery drill kills
-    // mid-flight to prove the store survives torn writes.
-    if let Some(store) = CheckpointStore::from_env() {
-        let key = StoreKey::run(bench, ckpt.config().state_hash(), ckpt.cycle());
-        if let Err(e) = store.put(&key, &bytes) {
-            eprintln!("warning: cannot persist checkpoint to store: {e}");
-        }
-    }
-    // The explicit file is written atomically too: temp + rename, so a
-    // crash never leaves a torn file at the requested path.
+    // Written atomically: temp + rename, so a crash never leaves a torn
+    // file at the requested path.
     let tmp = format!("{path}.tmp.{}", std::process::id());
     std::fs::write(&tmp, &bytes)
         .and_then(|()| std::fs::rename(&tmp, path))

@@ -67,33 +67,19 @@ pub struct HarnessOptions {
     /// the runner executes it. Inert — and byte-identical output — when
     /// off.
     pub screen: bool,
-    /// `NUBA_CHECKPOINT_EVERY`: cycles between mid-run checkpoints for
-    /// resumable retries (default: 20 000 under `NUBA_FULL`, else off;
-    /// `0` forces off).
-    pub checkpoint_every: Option<u64>,
     /// `NUBA_NO_SKIP=1`: force the cycle-by-cycle stepping loop instead
     /// of event-driven time skipping. Results are byte-identical either
     /// way; this is a perf escape hatch / A-B knob. The simulator core
     /// reads the variable itself — this field just snapshots it for
     /// display and run manifests.
     pub no_skip: bool,
-    /// `NUBA_STORE_DIR=<path>`: root of the persistent checkpoint
-    /// store (see [`store`]). Unset disables it — the runner then uses
-    /// its in-memory warm cache, byte-identically.
+    /// `NUBA_STORE_DIR=<path>`: directory of on-disk first-touch
+    /// traces (see [`store`]). Unset keeps them in memory only, with
+    /// byte-identical results.
     pub store_dir: Option<String>,
-    /// `NUBA_STORE_MAX_BYTES`: LRU size cap for the checkpoint store
-    /// (default 256 MiB; `0` = unlimited).
-    pub store_max_bytes: u64,
-    /// `NUBA_STORE_FAULT=<spec>`: deterministic disk-fault schedule for
-    /// chaos drills, e.g. `torn@0,flip@1:7,enospc@2,unreadable@0`
-    /// (see [`store::StoreFaultPlan::parse`]).
-    pub store_fault: Option<String>,
-    /// `NUBA_STORE_WRITE_STALL_MS`: stall injected mid-store-write, for
-    /// crash-recovery tests that `kill -9` the writer (default 0).
-    pub store_write_stall_ms: u64,
     /// `NUBA_MATRIX_DEADLINE_SECS`: wall-clock budget for a whole
-    /// matrix; when exceeded, in-flight jobs checkpoint-and-stop and
-    /// pending jobs report `Cancelled`.
+    /// matrix; when exceeded, in-flight jobs stop at their next chunk
+    /// edge and every job not finished reports `Cancelled`.
     pub matrix_deadline_secs: Option<f64>,
     /// `NUBA_JOB_DEADLINE_SECS`: default per-job wall-clock deadline
     /// (jobs can override via `Job::with_wall_deadline`).
@@ -103,9 +89,9 @@ pub struct HarnessOptions {
     /// the sleep, attempts still count).
     pub retry_backoff_ms: u64,
     /// `NUBA_METRICS=<path>`: write the matrix-end Prometheus
-    /// text-exposition dump here (outcome counts, cycle totals, store
-    /// counters, merged per-tier latency histograms — deterministic;
-    /// no wall-clock values).
+    /// text-exposition dump here (outcome counts, cycle totals, merged
+    /// per-tier latency histograms — deterministic; no wall-clock
+    /// values).
     pub metrics: Option<String>,
     /// `NUBA_EVENTS=<path>`: write the structured harness event log
     /// (JSONL, one lifecycle event per line, monotonic `seq`) here.
@@ -119,59 +105,113 @@ pub struct HarnessOptions {
     pub matrix_trace: Option<String>,
 }
 
+/// Every `NUBA_*` variable something in the workspace reads: the
+/// [`HarnessOptions`] knobs, `NUBA_NO_SKIP` (read by the simulator core)
+/// and `NUBA_CORRELATION` (read by `fig_correlation`). Any other
+/// `NUBA_*` variable in the environment draws a warning.
+const KNOWN: [&str; 21] = [
+    "NUBA_CHAOS",
+    "NUBA_CORRELATION",
+    "NUBA_CYCLES",
+    "NUBA_EVENTS",
+    "NUBA_FAST",
+    "NUBA_FULL",
+    "NUBA_JOBS",
+    "NUBA_JOB_DEADLINE_SECS",
+    "NUBA_JOB_RETRIES",
+    "NUBA_MATRIX_DEADLINE_SECS",
+    "NUBA_MATRIX_TRACE",
+    "NUBA_METRICS",
+    "NUBA_NO_SKIP",
+    "NUBA_PAE",
+    "NUBA_RETRY_BACKOFF_MS",
+    "NUBA_SCREEN",
+    "NUBA_SIMCHECK_CYCLES",
+    "NUBA_STORE_DIR",
+    "NUBA_STRICT_FAULTS",
+    "NUBA_TIMESERIES",
+    "NUBA_TRACE",
+];
+
+/// The `NUBA_*` names among `vars` that [`KNOWN`] lacks, sorted.
+fn unknown_knobs<'a>(vars: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut unknown: Vec<&str> = vars
+        .into_iter()
+        .filter(|v| v.starts_with("NUBA_") && !KNOWN.contains(v))
+        .collect();
+    unknown.sort_unstable();
+    unknown
+}
+
 impl HarnessOptions {
-    /// Parse every knob from the environment.
-    pub fn from_env() -> HarnessOptions {
-        fn num<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok().and_then(|v| v.parse().ok())
+    /// Parse every knob, reading each variable through `var` (`None`
+    /// when unset). An empty value counts as unset.
+    ///
+    /// # Errors
+    /// `NAME="value" is not a number` for the first numeric knob that is
+    /// set but does not parse.
+    fn parse(var: impl Fn(&str) -> Option<String>) -> Result<HarnessOptions, String> {
+        fn number<T: std::str::FromStr>(
+            var: &dyn Fn(&str) -> Option<String>,
+            name: &str,
+        ) -> Result<Option<T>, String> {
+            var(name)
+                .map(|v| {
+                    v.parse()
+                        .map_err(|_| format!("{name}={v:?} is not a number"))
+                })
+                .transpose()
         }
-        let flag = |name: &str| std::env::var(name).is_ok_and(|v| v == "1");
-        let path = |name: &str| std::env::var(name).ok().filter(|p| !p.is_empty());
-        let full = flag("NUBA_FULL");
-        let checkpoint_every = match num::<u64>("NUBA_CHECKPOINT_EVERY") {
-            Some(0) => None,
-            Some(n) => Some(n),
-            None if full => Some(20_000),
-            None => None,
-        };
-        HarnessOptions {
-            jobs: num("NUBA_JOBS")
+        let var = |name: &str| var(name).filter(|v| !v.is_empty());
+        let flag = |name: &str| var(name).is_some_and(|v| v == "1");
+        Ok(HarnessOptions {
+            jobs: number(&var, "NUBA_JOBS")?
                 .filter(|&n: &usize| n > 0)
                 .unwrap_or_else(|| {
                     std::thread::available_parallelism()
                         .map(std::num::NonZeroUsize::get)
                         .unwrap_or(1)
                 }),
-            cycles: num("NUBA_CYCLES").unwrap_or(60_000),
+            cycles: number(&var, "NUBA_CYCLES")?.unwrap_or(60_000),
             fast: flag("NUBA_FAST"),
-            full,
-            job_retries: num("NUBA_JOB_RETRIES").unwrap_or(0),
+            full: flag("NUBA_FULL"),
+            job_retries: number(&var, "NUBA_JOB_RETRIES")?.unwrap_or(0),
             strict_faults: flag("NUBA_STRICT_FAULTS"),
-            timeseries: path("NUBA_TIMESERIES"),
-            trace: path("NUBA_TRACE"),
+            timeseries: var("NUBA_TIMESERIES"),
+            trace: var("NUBA_TRACE"),
             chaos: flag("NUBA_CHAOS"),
             pae: flag("NUBA_PAE"),
-            simcheck_cycles: num("NUBA_SIMCHECK_CYCLES").unwrap_or(8192),
+            simcheck_cycles: number(&var, "NUBA_SIMCHECK_CYCLES")?.unwrap_or(8192),
             screen: flag("NUBA_SCREEN"),
-            checkpoint_every,
             no_skip: flag("NUBA_NO_SKIP"),
-            store_dir: path("NUBA_STORE_DIR"),
-            store_max_bytes: num("NUBA_STORE_MAX_BYTES").unwrap_or(256 * 1024 * 1024),
-            store_fault: path("NUBA_STORE_FAULT"),
-            store_write_stall_ms: num("NUBA_STORE_WRITE_STALL_MS").unwrap_or(0),
-            matrix_deadline_secs: num("NUBA_MATRIX_DEADLINE_SECS"),
-            job_deadline_secs: num("NUBA_JOB_DEADLINE_SECS"),
-            retry_backoff_ms: num("NUBA_RETRY_BACKOFF_MS").unwrap_or(100),
-            metrics: path("NUBA_METRICS"),
-            events: path("NUBA_EVENTS"),
-            matrix_trace: path("NUBA_MATRIX_TRACE"),
-        }
+            store_dir: var("NUBA_STORE_DIR"),
+            matrix_deadline_secs: number(&var, "NUBA_MATRIX_DEADLINE_SECS")?,
+            job_deadline_secs: number(&var, "NUBA_JOB_DEADLINE_SECS")?,
+            retry_backoff_ms: number(&var, "NUBA_RETRY_BACKOFF_MS")?.unwrap_or(100),
+            metrics: var("NUBA_METRICS"),
+            events: var("NUBA_EVENTS"),
+            matrix_trace: var("NUBA_MATRIX_TRACE"),
+        })
     }
 
-    /// The process-wide snapshot, parsed on first call.
+    /// The process-wide snapshot, parsed on first call. First warns on
+    /// stderr about each `NUBA_*` variable nothing reads; a malformed
+    /// numeric knob exits the process with status 2, before any job
+    /// runs.
     pub fn get() -> &'static HarnessOptions {
         static OPTIONS: OnceLock<HarnessOptions> = OnceLock::new();
-        OPTIONS.get_or_init(HarnessOptions::from_env)
+        OPTIONS.get_or_init(|| {
+            let vars: Vec<String> = std::env::vars_os()
+                .filter_map(|(k, _)| k.into_string().ok())
+                .collect();
+            for name in unknown_knobs(vars.iter().map(String::as_str)) {
+                eprintln!("warning: {name} is set but nothing reads it; ignoring it");
+            }
+            HarnessOptions::parse(|name| std::env::var(name).ok()).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2)
+            })
+        })
     }
 }
 
@@ -476,6 +516,57 @@ mod tests {
             .count();
         assert_eq!(low, 5);
         assert_eq!(high, 5);
+    }
+
+    /// Parse from a fixed variable list instead of the environment, and
+    /// check that `parse` reads exactly the [`KNOWN`] names other than
+    /// `NUBA_CORRELATION` (which only `fig_correlation` reads).
+    fn parse_vars(vars: &[(&str, &str)]) -> Result<HarnessOptions, String> {
+        let read = std::cell::RefCell::new(std::collections::BTreeSet::new());
+        let parsed = HarnessOptions::parse(|name| {
+            read.borrow_mut().insert(name.to_string());
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        });
+        if parsed.is_ok() {
+            let known = KNOWN.iter().filter(|&&k| k != "NUBA_CORRELATION");
+            assert!(
+                read.into_inner().iter().eq(known),
+                "parse and KNOWN disagree"
+            );
+        }
+        parsed
+    }
+
+    #[test]
+    fn malformed_numeric_knobs_are_errors() {
+        let opts = parse_vars(&[("NUBA_CYCLES", "6000"), ("NUBA_JOB_DEADLINE_SECS", "1.5")]);
+        let opts = opts.expect("well-formed knobs parse");
+        assert_eq!((opts.cycles, opts.job_deadline_secs), (6000, Some(1.5)));
+        assert_eq!(parse_vars(&[("NUBA_CYCLES", "")]).unwrap().cycles, 60_000);
+        assert_eq!(
+            parse_vars(&[("NUBA_CYCLES", "60k")]).unwrap_err(),
+            "NUBA_CYCLES=\"60k\" is not a number"
+        );
+        assert_eq!(
+            parse_vars(&[("NUBA_JOBS", "two")]).unwrap_err(),
+            "NUBA_JOBS=\"two\" is not a number"
+        );
+        assert!(parse_vars(&[("NUBA_MATRIX_DEADLINE_SECS", "soon")]).is_err());
+    }
+
+    #[test]
+    fn unread_knobs_are_named() {
+        let vars = [
+            "PATH",
+            "NUBA_FIDELITY",
+            "NUBA_CYCLES",
+            "NUBA_NO_SKIP",
+            "NUBA_CYCLE",
+            "NUBA_CORRELATION",
+        ];
+        assert_eq!(unknown_knobs(vars), ["NUBA_CYCLE", "NUBA_FIDELITY"]);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! registry (`nuba_types::invariant`), which uses relaxed atomics and
 //! only ever *counts* under the pool.
 //!
-//! Shared runner state — the warm-state cache, the quarantine
-//! registry, the optional persistent [checkpoint store](crate::store),
-//! and the cancellation token — lives in an injectable [`RunnerCtx`].
+//! Shared runner state — the warm-trace cache, the quarantine
+//! registry, the optional on-disk [trace store](crate::store), and the
+//! cancellation token — lives in an injectable [`RunnerCtx`].
 //! Binaries keep calling the module-level [`run_matrix`]/[`finish`]
 //! wrappers, which delegate to a process-wide environment-configured
 //! context; servers and tests construct their own via
@@ -32,8 +32,8 @@
 //! (`run(a); run(b)` ≡ `run(a+b)`, proven by the session tests), so
 //! cancellation is cooperative: between chunks a job checks the
 //! context's [`CancelToken`] (tripped by Ctrl-C or
-//! `NUBA_MATRIX_DEADLINE_SECS`) and its deadlines, salvages its last
-//! good checkpoint into the store, and stops. Every [`JobResult`]
+//! `NUBA_MATRIX_DEADLINE_SECS`) and its deadlines, and stops, keeping
+//! no state. Every [`JobResult`]
 //! carries a [`JobOutcome`]: quarantined failures and timeouts are
 //! distinct from graceful cancellation, which is *not* a fault.
 //! Binaries call [`finish`] last to print the quarantine summary; the
@@ -47,16 +47,16 @@ use std::time::{Duration, Instant};
 
 use nuba_core::telemetry::escape_json;
 use nuba_core::{
-    default_warm_accesses, first_touches, Checkpoint, GpuSimulator, SimError, SimReport,
-    TelemetryWindow, TraceRecord, NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES,
+    default_warm_accesses, first_touches, GpuSimulator, SimError, SimReport, TelemetryWindow,
+    TraceRecord, NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES,
 };
 use nuba_engine::FaultPlan;
 use nuba_types::addr::PageNum;
-use nuba_types::state::{fnv1a, StateError, StateValue, StateWriter};
+use nuba_types::state::{fnv1a, StateValue, StateWriter};
 use nuba_types::{GpuConfig, Histogram, MetricsRegistry, SmId};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
 
-use crate::store::{decode_trace, encode_trace, CheckpointStore, StoreKey, StoreStats};
+use crate::store::{StoreKey, TraceStore};
 use crate::{Harness, HarnessOptions};
 
 /// One simulation in an experiment matrix.
@@ -80,8 +80,8 @@ pub struct Job {
     /// before the watchdog quarantines the job); `None` keeps the
     /// configuration's `watchdog_cycles`.
     pub deadline: Option<u64>,
-    /// Wall-clock budget in seconds; past it the job checkpoints into
-    /// the store (if enabled) and reports [`JobOutcome::TimedOut`].
+    /// Wall-clock budget in seconds; past it the job stops and reports
+    /// [`JobOutcome::TimedOut`].
     /// `None` falls back to `NUBA_JOB_DEADLINE_SECS` (itself usually
     /// unset — no wall deadline).
     pub wall_deadline_secs: Option<f64>,
@@ -135,8 +135,7 @@ impl Job {
     }
 
     /// Give the job a wall-clock budget: once `secs` elapse, the job
-    /// stops at the next chunk boundary, salvages its last good
-    /// checkpoint into the store, and reports
+    /// stops at the next chunk boundary and reports
     /// [`JobOutcome::TimedOut`] — a slow-but-live job can no longer
     /// burn wall-clock forever (the cycles-based watchdog only catches
     /// jobs that stop *retiring*).
@@ -167,9 +166,7 @@ pub enum JobOutcome {
     /// before or during this job; the report is empty but the job is
     /// *not* a fault.
     Cancelled,
-    /// The job's wall-clock deadline elapsed; quarantined, with the
-    /// last good checkpoint salvaged into the store when one is
-    /// configured.
+    /// The job's wall-clock deadline elapsed; quarantined.
     TimedOut,
 }
 
@@ -203,12 +200,6 @@ pub enum JobEvent {
     Retried {
         /// 1-based number of the attempt about to start.
         attempt: u32,
-    },
-    /// The job salvaged its machine state into the checkpoint store at
-    /// this simulated cycle (cancellation, deadline).
-    Salvaged {
-        /// Simulated cycle of the salvaged checkpoint.
-        cycle: u64,
     },
 }
 
@@ -360,8 +351,8 @@ type Touches = Arc<[(PageNum, SmId)]>;
 
 /// Everything the runner shares across the jobs of a matrix, made
 /// injectable so servers and tests don't fight over process-globals
-/// (ROADMAP item 3): the warm-state cache, the quarantine registry,
-/// the optional persistent [checkpoint store](crate::store), and the
+/// (ROADMAP item 3): the warm-trace cache, the quarantine registry,
+/// the optional on-disk [trace store](crate::store), and the
 /// cancellation token.
 ///
 /// The module-level wrappers ([`run_matrix`], [`finish`],
@@ -379,9 +370,9 @@ pub struct RunnerCtx {
     /// Jobs appended as they fail (worker order); readers sort by
     /// label for deterministic output.
     quarantine: Mutex<Vec<JobFailure>>,
-    /// Persistent store of warm traces and salvaged checkpoints; `None`
-    /// falls back byte-identically to the in-memory cache alone.
-    store: Option<CheckpointStore>,
+    /// On-disk first-touch traces; `None` falls back byte-identically
+    /// to the in-memory cache alone.
+    store: Option<TraceStore>,
     /// Shared cancellation flag (Ctrl-C, matrix deadline).
     cancel: CancelToken,
 }
@@ -397,27 +388,27 @@ impl RunnerCtx {
         }
     }
 
-    /// The environment-configured context: a persistent store iff
+    /// The environment-configured context: a trace store iff
     /// `NUBA_STORE_DIR` is set (an unopenable store warns and falls
     /// back to memory — robustness knobs must not take the matrix
     /// down).
     pub fn from_env() -> RunnerCtx {
         RunnerCtx {
-            store: CheckpointStore::from_env(),
+            store: TraceStore::from_env(),
             ..RunnerCtx::new()
         }
     }
 
     /// A fresh context backed by `store`.
-    pub fn with_store(store: CheckpointStore) -> RunnerCtx {
+    pub fn with_store(store: TraceStore) -> RunnerCtx {
         RunnerCtx {
             store: Some(store),
             ..RunnerCtx::new()
         }
     }
 
-    /// The context's persistent store, if one is configured.
-    pub fn store(&self) -> Option<&CheckpointStore> {
+    /// The context's trace store, if one is configured.
+    pub fn store(&self) -> Option<&TraceStore> {
         self.store.as_ref()
     }
 
@@ -447,8 +438,8 @@ impl RunnerCtx {
             .clear();
     }
 
-    /// Drop every cached first-touch trace (test isolation). The
-    /// persistent store is untouched — it has its own LRU cap.
+    /// Drop every cached first-touch trace (test isolation). The trace
+    /// store on disk is untouched.
     pub fn reset_warm_cache(&self) {
         *self.warm.lock().expect("warm cache poisoned") = HashMap::new();
     }
@@ -601,8 +592,7 @@ where
 const ENV_WINDOW_CYCLES: u64 = 1000;
 const ENV_TRACE_PERIOD: u64 = 64;
 
-/// Cycles between cooperative cancellation/deadline checks when
-/// mid-run checkpointing has not set a chunk size already.
+/// Cycles between cooperative cancellation/deadline checks.
 /// `run(a); run(b)` ≡ `run(a+b)` (session tests), so chunking never
 /// changes results — it only bounds how stale a cancellation check can
 /// get.
@@ -623,9 +613,9 @@ fn warmed_simulator(
 }
 
 /// The [`first_touches`] trace for `cfg`/`wl` at the default warm
-/// depth: from the in-memory cache, else the persistent store (verified
-/// read; a corrupt entry, or one naming an SM this machine lacks,
-/// quarantines and misses), else recorded and published to both.
+/// depth: from the in-memory cache, else the trace store (a bad entry,
+/// or one naming an SM this machine lacks, misses), else recorded and
+/// published to both.
 ///
 /// The key holds exactly what the trace reads: the workload, SM count,
 /// active warp count, page size and depth — no architecture or policy
@@ -640,29 +630,23 @@ fn warm_trace(ctx: &RunnerCtx, bench: BenchmarkId, cfg: &GpuConfig, wl: &Workloa
         .max(1)
         .put(&mut id);
     cfg.page_bytes.put(&mut id);
-    let key = StoreKey::warm(bench, fnv1a(id.bytes()), per_warp as u64);
+    let key = StoreKey {
+        bench,
+        hash: fnv1a(id.bytes()),
+        depth: per_warp as u64,
+    };
     if let Some(touches) = ctx.warm_lookup(&key) {
         return touches;
     }
-    let stored = ctx.store().and_then(|store| {
-        store.get(&key, |bytes| {
-            let touches = decode_trace(bytes)?;
-            if touches.iter().any(|&(_, sm)| sm.0 >= cfg.num_sms) {
-                return Err(StateError::Corrupt(
-                    "first-touch trace names an SM outside the machine",
-                ));
-            }
-            Ok(touches)
-        })
-    });
+    let stored = ctx.store().and_then(|store| store.get(&key, cfg.num_sms));
     let touches: Touches = match stored {
         Some(touches) => touches.into(),
         None => {
             let touches: Touches = first_touches(cfg, wl, per_warp).into();
             if let Some(store) = ctx.store() {
-                if let Err(e) = store.put(&key, &encode_trace(&touches)) {
+                if let Err(e) = store.put(&key, &touches) {
                     // Persistence is an optimization; its failures warn.
-                    eprintln!("runner: cannot persist warm trace {key}: {e}");
+                    eprintln!("runner: cannot persist warm trace {}: {e}", key.file_name());
                 }
             }
             touches
@@ -670,38 +654,6 @@ fn warm_trace(ctx: &RunnerCtx, bench: BenchmarkId, cfg: &GpuConfig, wl: &Workloa
     };
     ctx.warm_insert(key, Arc::clone(&touches));
     touches
-}
-
-/// Salvage the job's current machine state into the store under the
-/// `run/` namespace (keyed by cycle) so an operator can resume or
-/// post-mortem a drained job. Best-effort: failures warn. Returns the
-/// salvaged cycle so the caller can log a [`JobEvent::Salvaged`].
-fn salvage_to_store(
-    ctx: &RunnerCtx,
-    job: &Job,
-    cfg: &GpuConfig,
-    wl: &Workload,
-    gpu: &mut GpuSimulator,
-) -> Option<u64> {
-    let store = ctx.store()?;
-    if gpu.cycle() == 0 {
-        return None;
-    }
-    let key = StoreKey::run(job.bench, cfg.state_hash(), gpu.cycle());
-    match store.put(&key, &gpu.checkpoint(wl).to_bytes()) {
-        Ok(()) => {
-            eprintln!(
-                "runner: salvaged {} at cycle {} to store",
-                job.label,
-                gpu.cycle()
-            );
-            Some(gpu.cycle())
-        }
-        Err(e) => {
-            eprintln!("runner: cannot salvage {}: {e}", job.label);
-            None
-        }
-    }
 }
 
 /// Why a job attempt stopped short of a report.
@@ -715,74 +667,50 @@ enum JobAbort {
     TimedOut,
 }
 
-/// Everything a detailed (tier-2) chunked window needs to cooperate
-/// with cancellation, deadlines, and mid-run checkpointing.
+/// Everything a chunked timed window needs to cooperate with
+/// cancellation and deadlines.
 struct DetailedWindow<'a> {
     ctx: &'a RunnerCtx,
-    job: &'a Job,
-    cfg: &'a GpuConfig,
-    wl: &'a Workload,
     /// Absolute cycle the timed window ends at (`Harness::cycles`).
     end_cycle: u64,
-    chunk_cycles: u64,
-    checkpointing: bool,
     job_deadline: Option<Instant>,
     matrix_deadline: Option<Instant>,
 }
 
 impl DetailedWindow<'_> {
     /// Cooperative gate between chunks: cancellation, matrix deadline,
-    /// job wall deadline. On any trip the current machine state is
-    /// salvaged into the store before aborting.
-    fn gate(&self, gpu: &mut GpuSimulator, events: &mut Vec<JobEvent>) -> Result<(), JobAbort> {
+    /// job wall deadline.
+    fn gate(&self) -> Result<(), JobAbort> {
         if self.ctx.cancel.is_cancelled() {
-            if let Some(cycle) = salvage_to_store(self.ctx, self.job, self.cfg, self.wl, gpu) {
-                events.push(JobEvent::Salvaged { cycle });
-            }
             return Err(JobAbort::Cancelled);
         }
         if self.matrix_deadline.is_some_and(|d| Instant::now() >= d) {
             if self.ctx.cancel.cancel() {
                 eprintln!("runner: NUBA_MATRIX_DEADLINE_SECS exceeded — draining matrix");
             }
-            if let Some(cycle) = salvage_to_store(self.ctx, self.job, self.cfg, self.wl, gpu) {
-                events.push(JobEvent::Salvaged { cycle });
-            }
             return Err(JobAbort::Cancelled);
         }
         if self.job_deadline.is_some_and(|d| Instant::now() >= d) {
-            if let Some(cycle) = salvage_to_store(self.ctx, self.job, self.cfg, self.wl, gpu) {
-                events.push(JobEvent::Salvaged { cycle });
-            }
             return Err(JobAbort::TimedOut);
         }
         Ok(())
     }
 
-    /// Run the window to `end_cycle` in chunks. The window always ends
-    /// at the same absolute cycle (warm-up and restore never advance
-    /// the clock mid-chunk), so chunked and straight-through runs
-    /// retire byte-identical reports; chunking only makes cancellation
-    /// and wall deadlines cooperative.
-    fn run(
-        &self,
-        gpu: &mut GpuSimulator,
-        resume: &mut Option<Checkpoint>,
-        events: &mut Vec<JobEvent>,
-    ) -> Result<SimReport, JobAbort> {
+    /// Run the window to `end_cycle` in chunks. Warm-up leaves the clock
+    /// at 0, so chunked and straight-through runs retire byte-identical
+    /// reports; chunking only makes cancellation and wall deadlines
+    /// cooperative.
+    fn run(&self, gpu: &mut GpuSimulator) -> Result<SimReport, JobAbort> {
         loop {
-            self.gate(gpu, events)?;
+            self.gate()?;
             let remaining = self.end_cycle.saturating_sub(gpu.cycle());
             if remaining == 0 {
                 return Ok(gpu.report());
             }
-            let chunk = remaining.min(self.chunk_cycles);
+            let chunk = remaining.min(CANCEL_CHUNK);
             let r = gpu.run(chunk).map_err(JobAbort::Sim)?;
             if remaining <= chunk {
                 return Ok(r);
-            }
-            if self.checkpointing {
-                *resume = Some(gpu.checkpoint(self.wl));
             }
         }
     }
@@ -799,21 +727,23 @@ struct JobOutput {
 /// One attempt at a job: build, warm, arm faults/watchdog, run. Every
 /// failure mode surfaces as `Err` (validation, watchdog, cancellation,
 /// wall deadline) or a panic (workload/config mismatch, internal bug)
-/// — the caller catches both.
-///
-/// `resume` carries the job's latest mid-run checkpoint between
-/// attempts: when `NUBA_CHECKPOINT_EVERY` is active (on by default
-/// under `NUBA_FULL`), a retry restores the last good chunk instead of
-/// starting over.
+/// — the caller catches both. A retry starts over from warm-up.
 fn execute_job(
     ctx: &RunnerCtx,
     h: &Harness,
     job: &Job,
-    resume: &mut Option<Checkpoint>,
     job_deadline: Option<Instant>,
     matrix_deadline: Option<Instant>,
-    events: &mut Vec<JobEvent>,
 ) -> Result<JobOutput, JobAbort> {
+    let win = DetailedWindow {
+        ctx,
+        end_cycle: h.cycles,
+        job_deadline,
+        matrix_deadline,
+    };
+    // A job drained or out of budget before it starts builds nothing
+    // and writes nothing to the trace store.
+    win.gate()?;
     let opts = HarnessOptions::get();
     let scale = job.scale.unwrap_or(h.scale);
     let seed = job.seed.unwrap_or(h.seed);
@@ -832,42 +762,19 @@ fn execute_job(
         cfg.telemetry.trace_sample_period = ENV_TRACE_PERIOD;
     }
     let wl = Workload::build(job.bench, scale, cfg.num_sms, seed);
-    let mut gpu = match resume.take() {
-        // Retry of a partially completed window: the checkpoint
-        // already carries the armed fault schedule and watchdog
-        // budget.
-        Some(ckpt) => GpuSimulator::restore(cfg.clone(), &wl, &ckpt).map_err(JobAbort::Sim)?,
-        None => {
-            // The fault plan and watchdog are armed after warm-up, which
-            // only faults pages in: faulted jobs share the warm path.
-            let mut gpu = warmed_simulator(ctx, job.bench, &cfg, &wl).map_err(JobAbort::Sim)?;
-            if let Some(plan) = &job.faults {
-                gpu.set_fault_plan(plan);
-            }
-            if let Some(deadline) = job.deadline {
-                gpu.set_watchdog(Some(deadline));
-            }
-            gpu
-        }
-    };
+    // The fault plan and watchdog are armed after warm-up, which only
+    // faults pages in: faulted jobs share the warm path.
+    let mut gpu = warmed_simulator(ctx, job.bench, &cfg, &wl).map_err(JobAbort::Sim)?;
+    if let Some(plan) = &job.faults {
+        gpu.set_fault_plan(plan);
+    }
+    if let Some(deadline) = job.deadline {
+        gpu.set_watchdog(Some(deadline));
+    }
     if job.inject_panic {
         panic!("injected chaos panic (Job::with_injected_panic)");
     }
-    let checkpointing = opts.checkpoint_every.filter(|_| job_retries() > 0);
-    let win = DetailedWindow {
-        ctx,
-        job,
-        cfg: &cfg,
-        wl: &wl,
-        // The window ends at absolute cycle `h.cycles`: warm-up leaves
-        // the clock at 0 and a resume restores it mid-way.
-        end_cycle: h.cycles,
-        chunk_cycles: checkpointing.unwrap_or(CANCEL_CHUNK).max(1),
-        checkpointing: checkpointing.is_some(),
-        job_deadline,
-        matrix_deadline,
-    };
-    let report = win.run(&mut gpu, resume, events)?;
+    let report = win.run(&mut gpu)?;
     let windows = gpu.telemetry().windows_vec();
     let trace = gpu.telemetry().trace_records().to_vec();
     Ok(JobOutput {
@@ -973,9 +880,6 @@ fn run_job(
     let mut attempts = 0u32;
     let mut events: Vec<JobEvent> = Vec::new();
     let mut attempt_offsets: Vec<f64> = Vec::new();
-    // Latest mid-run checkpoint, carried across retry attempts so a
-    // late failure resumes from the last good chunk.
-    let mut resume: Option<Checkpoint> = None;
     let (outcome, error) = loop {
         attempts += 1;
         events.push(if attempts == 1 {
@@ -985,21 +889,10 @@ fn run_job(
         });
         attempt_offsets.push(Instant::now().duration_since(matrix_start).as_secs_f64());
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut ev = Vec::new();
-            let out = execute_job(
-                ctx,
-                h,
-                job,
-                &mut resume,
-                job_deadline,
-                matrix_deadline,
-                &mut ev,
-            );
-            (out, ev)
+            execute_job(ctx, h, job, job_deadline, matrix_deadline)
         }));
         match attempt {
-            Ok((Ok(out), ev)) => {
-                events.extend(ev);
+            Ok(Ok(out)) => {
                 let wall_seconds = start.elapsed().as_secs_f64();
                 let cycles_per_sec = out.report.cycles as f64 / wall_seconds.max(1e-9);
                 return JobResult {
@@ -1017,12 +910,8 @@ fn run_job(
                     attempt_offsets_secs: attempt_offsets,
                 };
             }
-            Ok((Err(JobAbort::Cancelled), ev)) => {
-                events.extend(ev);
-                break (JobOutcome::Cancelled, None);
-            }
-            Ok((Err(JobAbort::TimedOut), ev)) => {
-                events.extend(ev);
+            Ok(Err(JobAbort::Cancelled)) => break (JobOutcome::Cancelled, None),
+            Ok(Err(JobAbort::TimedOut)) => {
                 break (
                     JobOutcome::TimedOut,
                     Some(format!(
@@ -1031,8 +920,7 @@ fn run_job(
                     )),
                 );
             }
-            Ok((Err(JobAbort::Sim(e)), ev)) => {
-                events.extend(ev);
+            Ok(Err(JobAbort::Sim(e))) => {
                 if attempts <= retries {
                     backoff_sleep(opts.retry_backoff_ms, attempts);
                     continue;
@@ -1100,7 +988,7 @@ pub fn run_matrix_ctx_with(
     // `NUBA_SCREEN=1` and guaranteed inert (not a byte of output, no
     // simulation effect) otherwise.
     crate::screen::print_screen_if_enabled(h, jobs);
-    // First Ctrl-C drains the matrix (jobs checkpoint-and-stop), a
+    // First Ctrl-C drains the matrix (jobs stop at a chunk edge), a
     // second one kills the process via the restored default handler.
     sigint::install();
     let matrix_start = Instant::now();
@@ -1158,14 +1046,11 @@ pub fn render_trace(results: &[JobResult]) -> String {
 /// Render the matrix's structured event log as JSONL: one lifecycle
 /// event per line, jobs in submission order, with a synthesized
 /// monotonic `seq`. For each job: `queued`, then the captured
-/// [`JobEvent`]s (started / retried / salvaged), then the outcome
-/// (`ok` / `failed` / `cancelled` / `timed_out`, with `quarantined`
-/// set on faults); finally one matrix-level `store` summary event when
-/// store counters were observed. No wall-clock fields anywhere, so the
-/// log is byte-identical across worker counts and skip modes (store
-/// counters can race under a *shared* persistent store — DESIGN.md
-/// §16 documents that caveat).
-pub fn render_event_log(results: &[JobResult], store: Option<StoreStats>) -> String {
+/// [`JobEvent`]s (started / retried), then the outcome (`ok` /
+/// `failed` / `cancelled` / `timed_out`, with `quarantined` set on
+/// faults). No wall-clock fields anywhere, so the log is
+/// byte-identical across worker counts and skip modes.
+pub fn render_event_log(results: &[JobResult]) -> String {
     let mut out = String::new();
     let mut seq = 0u64;
     let line = |out: &mut String, seq: &mut u64, body: String| {
@@ -1186,9 +1071,6 @@ pub fn render_event_log(results: &[JobResult], store: Option<StoreStats>) -> Str
                 JobEvent::Retried { attempt } => {
                     format!("\"event\":\"retried\",{ident},\"attempt\":{attempt}")
                 }
-                JobEvent::Salvaged { cycle } => {
-                    format!("\"event\":\"salvaged\",{ident},\"cycle\":{cycle}")
-                }
             };
             line(&mut out, &mut seq, body);
         }
@@ -1205,17 +1087,6 @@ pub fn render_event_log(results: &[JobResult], store: Option<StoreStats>) -> Str
             body.push_str(&format!(",\"error\":\"{}\"", escape_json(e)));
         }
         line(&mut out, &mut seq, body);
-    }
-    if let Some(s) = store {
-        line(
-            &mut out,
-            &mut seq,
-            format!(
-                "\"event\":\"store\",\"hits\":{},\"misses\":{},\"inserts\":{},\
-                 \"write_errors\":{},\"quarantined\":{},\"evictions\":{}",
-                s.hits, s.misses, s.inserts, s.write_errors, s.quarantined, s.evictions
-            ),
-        );
     }
     out
 }
@@ -1268,13 +1139,12 @@ pub fn render_matrix_trace(results: &[JobResult]) -> String {
     out
 }
 
-/// Fold a matrix's results (and the store's counters, when a store is
-/// configured) into a [`MetricsRegistry`] for the `NUBA_METRICS`
-/// Prometheus dump: job outcome counts, attempt and cycle totals,
-/// store counters, and the per-tier / per-stage latency histograms
+/// Fold a matrix's results into a [`MetricsRegistry`] for the
+/// `NUBA_METRICS` Prometheus dump: job outcome counts, attempt and
+/// cycle totals, and the per-tier / per-stage latency histograms
 /// merged across jobs. Deliberately no wall-clock values — the dump is
 /// part of the deterministic artifact set.
-pub fn build_matrix_registry(results: &[JobResult], store: Option<StoreStats>) -> MetricsRegistry {
+pub fn build_matrix_registry(results: &[JobResult]) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     let stats = MatrixStats::of(results);
     reg.counter_add("nuba_jobs_total", stats.jobs as u64);
@@ -1297,14 +1167,6 @@ pub fn build_matrix_registry(results: &[JobResult], store: Option<StoreStats>) -
         "nuba_warp_ops_total",
         results.iter().map(|r| r.report.warp_ops).sum(),
     );
-    if let Some(s) = store {
-        reg.counter_add("nuba_store_hits_total", s.hits);
-        reg.counter_add("nuba_store_misses_total", s.misses);
-        reg.counter_add("nuba_store_inserts_total", s.inserts);
-        reg.counter_add("nuba_store_write_errors_total", s.write_errors);
-        reg.counter_add("nuba_store_quarantined_total", s.quarantined);
-        reg.counter_add("nuba_store_evictions_total", s.evictions);
-    }
     let mut tiers = [Histogram::new(); NUM_TIERS];
     let mut stages = [Histogram::new(); NUM_STAGES];
     for r in results {
@@ -1347,9 +1209,8 @@ pub fn write_telemetry_outputs(results: &[JobResult]) {
     if let Some(path) = &opts.trace {
         write(path, "lifecycle trace", render_trace(results));
     }
-    let store_stats = global_ctx().store().map(|s| s.stats());
     if let Some(path) = &opts.events {
-        write(path, "event log", render_event_log(results, store_stats));
+        write(path, "event log", render_event_log(results));
     }
     if let Some(path) = &opts.matrix_trace {
         write(path, "matrix trace", render_matrix_trace(results));
@@ -1358,7 +1219,7 @@ pub fn write_telemetry_outputs(results: &[JobResult]) {
         write(
             path,
             "metrics dump",
-            build_matrix_registry(results, store_stats).render_prometheus(),
+            build_matrix_registry(results).render_prometheus(),
         );
     }
 }
@@ -1418,19 +1279,9 @@ pub struct RunnerRecord {
     pub wall_seconds: f64,
     /// Matrix aggregate.
     pub stats: MatrixStats,
-    /// Checkpoint-store counters at run end (all zero when no store
-    /// was configured). Surfaced here so the store's effectiveness is
-    /// inspectable from the artifact, not just stderr chatter.
-    pub store: StoreStats,
 }
 
 impl RunnerRecord {
-    /// The global context's store counters, for building a record at
-    /// the end of a run (zeros when `NUBA_STORE_DIR` is unset).
-    pub fn current_store_stats() -> StoreStats {
-        global_ctx().store().map(|s| s.stats()).unwrap_or_default()
-    }
-
     fn to_json_line(self) -> String {
         let cps = self.stats.total_cycles as f64 / self.wall_seconds.max(1e-9);
         format!(
@@ -1438,10 +1289,7 @@ impl RunnerRecord {
              \"cancelled\": {}, \"timed_out\": {}, \
              \"wall_seconds\": {:.3}, \"cpu_seconds\": {:.3}, \
              \"total_cycles\": {}, \
-             \"cycles_per_sec\": {:.0}, \
-             \"store_hits\": {}, \"store_misses\": {}, \"store_inserts\": {}, \
-             \"store_write_errors\": {}, \"store_quarantined\": {}, \
-             \"store_evictions\": {}}}",
+             \"cycles_per_sec\": {:.0}}}",
             self.nuba_jobs,
             self.stats.jobs,
             self.stats.quarantined,
@@ -1451,12 +1299,6 @@ impl RunnerRecord {
             self.stats.cpu_seconds,
             self.stats.total_cycles,
             cps,
-            self.store.hits,
-            self.store.misses,
-            self.store.inserts,
-            self.store.write_errors,
-            self.store.quarantined,
-            self.store.evictions,
         )
     }
 
@@ -1482,16 +1324,6 @@ impl RunnerRecord {
                 quarantined: field("quarantined").map(|v| v as usize).unwrap_or(0),
                 cancelled: field("cancelled").map(|v| v as usize).unwrap_or(0),
                 timed_out: field("timed_out").map(|v| v as usize).unwrap_or(0),
-            },
-            // Absent in records written before store counters surfaced
-            // through the registry.
-            store: StoreStats {
-                hits: field("store_hits").map(|v| v as u64).unwrap_or(0),
-                misses: field("store_misses").map(|v| v as u64).unwrap_or(0),
-                inserts: field("store_inserts").map(|v| v as u64).unwrap_or(0),
-                write_errors: field("store_write_errors").map(|v| v as u64).unwrap_or(0),
-                quarantined: field("store_quarantined").map(|v| v as u64).unwrap_or(0),
-                evictions: field("store_evictions").map(|v| v as u64).unwrap_or(0),
             },
         })
     }
@@ -1729,16 +1561,10 @@ mod tests {
         ];
         let ctx = RunnerCtx::new();
         let results = run_matrix_ctx_with(&ctx, &h, &jobs, 2);
-        let log = render_event_log(
-            &results,
-            Some(StoreStats {
-                hits: 1,
-                ..StoreStats::default()
-            }),
-        );
+        let log = render_event_log(&results);
         let lines: Vec<&str> = log.lines().collect();
-        // queued + started + outcome per job, plus the store summary.
-        assert_eq!(lines.len(), 7, "{log}");
+        // queued + started + outcome per job.
+        assert_eq!(lines.len(), 6, "{log}");
         for (i, l) in lines.iter().enumerate() {
             assert!(l.starts_with(&format!("{{\"seq\":{i},")), "{l}");
             assert!(l.ends_with('}'), "{l}");
@@ -1753,12 +1579,6 @@ mod tests {
             "{}",
             lines[5]
         );
-        assert!(lines[6].contains("\"event\":\"store\"") && lines[6].contains("\"hits\":1"));
-        // The deterministic content is schedule-independent: rendering
-        // the serial run of the healthy job matches itself re-rendered.
-        ctx.reset_quarantine();
-        let again = render_event_log(&results, None);
-        assert!(again.lines().count() == 6, "no store event without stats");
     }
 
     #[test]
@@ -1795,7 +1615,7 @@ mod tests {
             &[Job::new("reg-job", BenchmarkId::Kmeans, cfg)],
             1,
         );
-        let reg = build_matrix_registry(&results, None);
+        let reg = build_matrix_registry(&results);
         assert_eq!(reg.counter("nuba_jobs_total"), 1);
         assert_eq!(reg.counter("nuba_jobs_ok_total"), 1);
         assert_eq!(reg.counter("nuba_cycles_total"), results[0].report.cycles);
@@ -1815,17 +1635,6 @@ mod tests {
             !text.contains("wall"),
             "no wall-clock values in the deterministic dump"
         );
-        // With store counters, they surface as counters.
-        let reg = build_matrix_registry(
-            &results,
-            Some(StoreStats {
-                hits: 2,
-                evictions: 1,
-                ..StoreStats::default()
-            }),
-        );
-        assert_eq!(reg.counter("nuba_store_hits_total"), 2);
-        assert_eq!(reg.counter("nuba_store_evictions_total"), 1);
     }
 
     #[test]
@@ -1841,14 +1650,6 @@ mod tests {
                 cancelled: 1,
                 timed_out: 1,
             },
-            store: StoreStats {
-                hits: 5,
-                misses: 2,
-                inserts: 2,
-                write_errors: 0,
-                quarantined: 1,
-                evictions: 3,
-            },
         };
         let line = rec.to_json_line();
         let back = RunnerRecord::parse_json_line(&line).expect("parses");
@@ -1857,8 +1658,6 @@ mod tests {
         assert_eq!(back.stats.total_cycles, 420_000);
         assert_eq!(back.stats.cancelled, 1);
         assert_eq!(back.stats.timed_out, 1);
-        assert_eq!(back.store.hits, 5);
-        assert_eq!(back.store.evictions, 3);
         assert!((back.wall_seconds - 12.345).abs() < 1e-9);
 
         // Records written before lifecycle outcomes parse with zeros.
@@ -1867,7 +1666,10 @@ mod tests {
                       \"total_cycles\": 100, \"cycles_per_sec\": 100}";
         let old = RunnerRecord::parse_json_line(legacy).expect("legacy parses");
         assert_eq!((old.stats.cancelled, old.stats.timed_out), (0, 0));
-        assert_eq!(old.store, StoreStats::default());
+        // Records written when store counters were part of the line
+        // still parse: unknown keys are ignored.
+        let with_store = line.replace('}', ", \"store_hits\": 5}");
+        assert!(RunnerRecord::parse_json_line(&with_store).is_some());
     }
 
     #[test]
@@ -1887,7 +1689,6 @@ mod tests {
                 cancelled: 0,
                 timed_out: 0,
             },
-            store: StoreStats::default(),
         };
         write_runner_json(path, mk(1, 10.0)).unwrap();
         write_runner_json(path, mk(4, 4.0)).unwrap();

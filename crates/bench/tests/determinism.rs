@@ -210,10 +210,10 @@ fn event_log_and_metrics_are_byte_identical_across_worker_counts() {
     let serial = run_matrix_with(&h, &jobs, 1);
     let parallel = run_matrix_with(&h, &jobs, 4);
 
-    let events = nuba_bench::runner::render_event_log(&serial, None);
+    let events = nuba_bench::runner::render_event_log(&serial);
     assert_eq!(
         events,
-        nuba_bench::runner::render_event_log(&parallel, None),
+        nuba_bench::runner::render_event_log(&parallel),
         "event log diverged between serial and parallel execution"
     );
     // One JSON object per line, sequence numbers strictly monotonic
@@ -224,10 +224,10 @@ fn event_log_and_metrics_are_byte_identical_across_worker_counts() {
         assert!(!line.contains("secs"), "wall clock leaked: {line}");
     }
 
-    let prom = nuba_bench::runner::build_matrix_registry(&serial, None).render_prometheus();
+    let prom = nuba_bench::runner::build_matrix_registry(&serial).render_prometheus();
     assert_eq!(
         prom,
-        nuba_bench::runner::build_matrix_registry(&parallel, None).render_prometheus(),
+        nuba_bench::runner::build_matrix_registry(&parallel).render_prometheus(),
         "Prometheus dump diverged between serial and parallel execution"
     );
     assert!(prom.contains("# TYPE nuba_read_latency_cycles_local histogram"));

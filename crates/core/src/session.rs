@@ -408,9 +408,8 @@ impl SimSession {
         }
     }
 
-    /// Rebuild a session directly from serialized checkpoint bytes —
-    /// the resume-from-store path: a persistent checkpoint store hands
-    /// back raw verified bytes and this decodes and restores in one
+    /// Rebuild a session directly from serialized checkpoint bytes (a
+    /// `nuba_sim --checkpoint` file, say): decodes and restores in one
     /// step, with every corruption mode surfacing as a typed error.
     ///
     /// # Errors

@@ -476,7 +476,7 @@ mod tests {
     #[test]
     fn registry_renders_sorted_prometheus_text() {
         let mut reg = MetricsRegistry::new();
-        reg.counter_add("nuba_store_hits_total", 3);
+        reg.counter_add("nuba_warp_ops_total", 3);
         reg.counter_add("nuba_jobs_total", 7);
         reg.gauge_set("nuba_matrix_workers", 4);
         reg.observe("nuba_read_latency_cycles", 100);
@@ -484,8 +484,8 @@ mod tests {
         let text = reg.render_prometheus();
         // Families sorted by name within each section.
         let jobs = text.find("nuba_jobs_total 7").unwrap();
-        let hits = text.find("nuba_store_hits_total 3").unwrap();
-        assert!(jobs < hits);
+        let ops = text.find("nuba_warp_ops_total 3").unwrap();
+        assert!(jobs < ops);
         assert!(text.contains("# TYPE nuba_jobs_total counter"));
         assert!(text.contains("# TYPE nuba_matrix_workers gauge"));
         assert!(text.contains("# TYPE nuba_read_latency_cycles histogram"));
@@ -499,7 +499,7 @@ mod tests {
         reg2.observe("nuba_read_latency_cycles", 100);
         reg2.gauge_set("nuba_matrix_workers", 4);
         reg2.counter_add("nuba_jobs_total", 7);
-        reg2.counter_add("nuba_store_hits_total", 3);
+        reg2.counter_add("nuba_warp_ops_total", 3);
         assert_eq!(reg2.render_prometheus(), text);
     }
 
