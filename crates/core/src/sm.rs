@@ -150,7 +150,7 @@ impl Sm {
                 })
                 .collect(),
             l1: TagArray::new(params.l1_geometry),
-            l1_mshr: MshrFile::new(params.l1_mshrs, 16),
+            l1_mshr: MshrFile::with_waiters(params.l1_mshrs, 16, l1_waiter_bound(params)),
             outstanding: 0,
             next_warp: 0,
             scanned: 0,
@@ -467,6 +467,12 @@ impl Sm {
     pub fn skip_idle(&mut self) {
         self.scanned = self.warps.len();
     }
+}
+
+/// Most waiters an SM's L1 MSHR file can hold at once: each is a load
+/// its warp has in flight, and a warp stops issuing at `warp_mlp`.
+fn l1_waiter_bound(params: SmParams) -> usize {
+    params.warps * params.warp_mlp as usize
 }
 
 impl StateValue for WarpState {

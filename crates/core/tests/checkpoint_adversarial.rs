@@ -4,14 +4,18 @@
 //! never a panic, and never a silent wrong-data accept. The trailing
 //! end-to-end checksum (state format v2) is what makes the
 //! single-byte-corruption guarantee absolute.
+//!
+//! The checksum vouches for bytes, not meaning: a section that decodes
+//! cleanly must still describe state the simulator could have reached,
+//! or restore rejects it too.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use nuba_core::{Checkpoint, GpuSimulator};
-use nuba_types::state::StateError;
-use nuba_types::{ArchKind, GpuConfig};
+use nuba_core::{Checkpoint, GpuSimulator, Sm, SmParams};
+use nuba_types::state::{SaveState, StateError, StateReader, StateWriter};
+use nuba_types::{ArchKind, GpuConfig, LineAddr, SmId, WarpId};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
 
 /// One small but real checkpoint (geometry-reduced NUBA machine,
@@ -90,5 +94,58 @@ proptest! {
         let ckpt = Checkpoint::from_bytes(valid_bytes()).expect("valid checkpoint decodes");
         let reserialized = ckpt.to_bytes();
         prop_assert_eq!(reserialized.as_slice(), valid_bytes());
+    }
+}
+
+/// An SM's L1 MSHR section can decode cleanly and still hold an entry
+/// `allocate` never makes: one with no waiters, whose fill would wake
+/// nobody, or one with more than the 16 a line merges, which one fill
+/// would hand back at once. Restoring either is a typed error.
+#[test]
+fn mshr_entries_allocate_cannot_produce_are_rejected() {
+    let wl = Workload::build(BenchmarkId::Kmeans, ScaleProfile::fast(), 8, 1);
+    let sm = || {
+        let streams = (0..4).map(|w| wl.stream(SmId(0), WarpId(w))).collect();
+        let params = SmParams {
+            warps: 4,
+            ..SmParams::paper()
+        };
+        Sm::new(SmId(0), params, streams)
+    };
+    let mut live = sm();
+    let line = LineAddr(0x5eed_0000 * 128);
+    assert!(live.commit_load_miss(WarpId(2), line), "primary miss");
+    let mut w = StateWriter::new();
+    live.save(&mut w);
+    let bytes = w.into_bytes();
+    sm().restore(&mut StateReader::new(&bytes))
+        .expect("the real section restores");
+
+    // The MSHR section: one entry, `line`, one waiter (warp 2). Its
+    // waiter count is the third field.
+    let entry: Vec<u8> = [1u64, line.0, 1, 2]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let at = bytes
+        .windows(entry.len())
+        .position(|win| win == entry)
+        .expect("the L1 MSHR section is in the SM's bytes")
+        + 16;
+    let forged = [
+        (0u64, StateError::Corrupt("MSHR entry with no waiters")),
+        (
+            17,
+            StateError::LengthMismatch {
+                what: "MSHR waiters exceed merge limit",
+                expected: 16,
+                found: 17,
+            },
+        ),
+    ];
+    for (waiters, want) in forged {
+        let mut bad = bytes.clone();
+        bad[at..at + 8].copy_from_slice(&waiters.to_le_bytes());
+        assert_eq!(sm().restore(&mut StateReader::new(&bad)), Err(want));
     }
 }

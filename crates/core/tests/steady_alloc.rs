@@ -2,10 +2,13 @@
 //!
 //! A counting global allocator spot-checks that `GpuSimulator::step`
 //! performs zero heap allocations once the simulation reaches steady
-//! state: scratch vectors are hoisted and reused, MSHR waiter lists are
-//! recycled through free pools, and per-tick collections keep their
-//! capacity. Any `Vec::new()`/`collect()` reintroduced on the per-cycle
-//! path shows up here as a nonzero count.
+//! state: scratch vectors are hoisted and reused, MSHR waiters take
+//! slots from their file's slab and complete into one recycled vector,
+//! and per-tick collections keep their capacity. Any
+//! `Vec::new()`/`collect()` reintroduced on the per-cycle path shows up
+//! here as a nonzero count — and so does storage reserved too small for
+//! the traffic, which then regrows mid-run. Its twin,
+//! `footprint.rs`, bounds the other side: storage reserved too large.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,6 +1,5 @@
 //! Deterministic per-warp access-stream generation.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -10,6 +9,9 @@ use nuba_types::{AccessKind, SmId, VirtAddr, WarpId, LINE_BYTES};
 
 use crate::layout::WorkloadLayout;
 use crate::spec::{BenchmarkSpec, PatternFamily};
+
+/// Accesses a stream keeps for L1-distance replay.
+const RECENT: usize = 8;
 
 /// One warp-level (coalesced) memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,8 +107,9 @@ struct SyntheticStream {
     cursor: u64,
     /// Recently produced accesses, replayed for L1-distance reuse. The
     /// access kind is preserved so a replayed read-only load stays
-    /// replicable (`ld.global.ro`).
-    recent: VecDeque<Access>,
+    /// replicable (`ld.global.ro`). The ring is held inline, so a warp's
+    /// stream owns no heap block for it.
+    recent: Recent,
     pending_compute: bool,
     lines_per_page: u64,
     /// Memory accesses generated so far (drives phase progression).
@@ -157,7 +160,7 @@ impl SyntheticStream {
                 seed ^ (sm.0 as u64) << 32 ^ (warp.0 as u64) << 16 ^ spec.abbr.len() as u64,
             ),
             cursor: start,
-            recent: VecDeque::with_capacity(8),
+            recent: Recent::EMPTY,
             pending_compute: false,
             lines_per_page,
             seq: 0,
@@ -190,9 +193,9 @@ impl SyntheticStream {
         // Temporal replay for L1 locality: re-issue a recent access.
         // Writes replay as reads of the same data; read-only marking and
         // the L1-bypass attribute are preserved.
-        if !self.recent.is_empty() && self.rng.gen::<f64>() < self.spec.l1_reuse {
-            let idx = self.rng.gen_range(0..self.recent.len());
-            let mut a = self.recent[idx];
+        if self.recent.len > 0 && self.rng.gen::<f64>() < self.spec.l1_reuse {
+            let idx = self.rng.gen_range(0..self.recent.len);
+            let mut a = self.recent.get(idx);
             if a.kind.is_write() {
                 a.kind = AccessKind::Load;
             }
@@ -206,10 +209,7 @@ impl SyntheticStream {
         } else {
             self.gen_private()
         };
-        if self.recent.len() == 8 {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(access);
+        self.recent.push(access);
         access
     }
 
@@ -357,6 +357,44 @@ fn windowed_pick(rng: &mut SmallRng, seq: u64, sm: usize, len: usize) -> usize {
     (start + rng.gen_range(0..w)) % len
 }
 
+/// The last [`RECENT`] accesses a stream generated, oldest first, in a
+/// ring held inline in the stream rather than in a heap block per warp.
+#[derive(Debug, Clone, Copy)]
+struct Recent {
+    ring: [Access; RECENT],
+    /// Slot of the oldest access.
+    head: usize,
+    len: usize,
+}
+
+impl Recent {
+    const EMPTY: Recent = Recent {
+        ring: [Access {
+            vaddr: VirtAddr(0),
+            kind: AccessKind::Load,
+            bypass_l1: false,
+        }; RECENT],
+        head: 0,
+        len: 0,
+    };
+
+    /// The `i`-th oldest access (`i < len`).
+    fn get(&self, i: usize) -> Access {
+        self.ring[(self.head + i) % RECENT]
+    }
+
+    /// Append `a`, dropping the oldest access once the ring is full.
+    fn push(&mut self, a: Access) {
+        if self.len == RECENT {
+            self.ring[self.head] = a;
+            self.head = (self.head + 1) % RECENT;
+        } else {
+            self.ring[(self.head + self.len) % RECENT] = a;
+            self.len += 1;
+        }
+    }
+}
+
 impl StateValue for Access {
     fn put(&self, w: &mut StateWriter) {
         self.vaddr.put(w);
@@ -382,7 +420,10 @@ impl SaveState for WarpStream {
                 w.put_u8(0);
                 s.rng.state().put(w);
                 s.cursor.put(w);
-                s.recent.put(w);
+                s.recent.len.put(w);
+                for i in 0..s.recent.len {
+                    s.recent.get(i).put(w);
+                }
                 s.pending_compute.put(w);
                 s.seq.put(w);
             }
@@ -400,9 +441,16 @@ impl SaveState for WarpStream {
                 s.rng = SmallRng::from_state(u64::get(r)?);
                 s.cursor = u64::get(r)?;
                 let n = usize::get(r)?;
-                s.recent.clear();
+                if n > RECENT {
+                    return Err(StateError::LengthMismatch {
+                        what: "stream replay window",
+                        expected: RECENT,
+                        found: n,
+                    });
+                }
+                s.recent = Recent::EMPTY;
                 for _ in 0..n {
-                    s.recent.push_back(Access::get(r)?);
+                    s.recent.push(Access::get(r)?);
                 }
                 s.pending_compute = bool::get(r)?;
                 s.seq = u64::get(r)?;
@@ -547,6 +595,37 @@ mod tests {
             }
         }
         assert!(computes >= 90, "3DCONV alternates compute/mem: {computes}");
+    }
+
+    #[test]
+    fn restore_continues_the_stream_and_rejects_a_long_window() {
+        let wl = Workload::build(BenchmarkId::Sgemm, ScaleProfile::default(), 64, 1);
+        let mut a = wl.stream(SmId(3), WarpId(5));
+        for _ in 0..100 {
+            a.next_op();
+        }
+        let mut w = StateWriter::new();
+        a.save(&mut w);
+        let mut b = wl.stream(SmId(3), WarpId(5));
+        b.restore(&mut StateReader::new(w.bytes())).unwrap();
+        for _ in 0..200 {
+            assert_eq!(a.next_op(), b.next_op());
+        }
+        // A kind tag, the RNG state and the cursor precede the window's
+        // length; each entry is 10 bytes. Forge a ninth entry.
+        let mut long = w.into_bytes();
+        assert_eq!(long[17..25], 8u64.to_le_bytes());
+        long[17..25].copy_from_slice(&9u64.to_le_bytes());
+        let ninth = long[25..35].to_vec();
+        long.splice(105..105, ninth);
+        assert_eq!(
+            b.restore(&mut StateReader::new(&long)),
+            Err(StateError::LengthMismatch {
+                what: "stream replay window",
+                expected: 8,
+                found: 9,
+            })
+        );
     }
 
     #[test]
