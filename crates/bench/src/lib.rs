@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # nuba-bench
@@ -46,13 +47,15 @@ pub struct HarnessOptions {
     /// `NUBA_FULL=1`: sweep all 29 benchmarks instead of the
     /// representative subset.
     pub full: bool,
-    /// `NUBA_JOB_RETRIES`: retries per failed matrix job (default 0).
-    pub job_retries: u32,
     /// `NUBA_STRICT_FAULTS=1`: quarantined jobs fail the process.
     pub strict_faults: bool,
     /// `NUBA_TIMESERIES=<path>`: write windowed telemetry JSONL here.
+    /// Only `fig_timeseries`, `fig_latency` and `nuba_sim` write it;
+    /// other matrix binaries still window every job and write nothing.
     pub timeseries: Option<String>,
     /// `NUBA_TRACE=<path>`: write the Chrome lifecycle trace here.
+    /// Only `fig_timeseries`, `fig_latency` and `nuba_sim` write it;
+    /// other matrix binaries still sample every job and write nothing.
     pub trace: Option<String>,
     /// `NUBA_CHAOS=1`: run the sanctioned chaos drill in
     /// `all_experiments` (injected panic + deadlock jobs).
@@ -77,31 +80,23 @@ pub struct HarnessOptions {
     /// traces (see [`store`]). Unset keeps them in memory only, with
     /// byte-identical results.
     pub store_dir: Option<String>,
-    /// `NUBA_MATRIX_DEADLINE_SECS`: wall-clock budget for a whole
-    /// matrix; when exceeded, in-flight jobs stop at their next chunk
-    /// edge and every job not finished reports `Cancelled`.
-    pub matrix_deadline_secs: Option<f64>,
-    /// `NUBA_JOB_DEADLINE_SECS`: default per-job wall-clock deadline
-    /// (jobs can override via `Job::with_wall_deadline`).
-    pub job_deadline_secs: Option<f64>,
-    /// `NUBA_RETRY_BACKOFF_MS`: base of the deterministic exponential
-    /// backoff between job retry attempts (default 100; `0` disables
-    /// the sleep, attempts still count).
-    pub retry_backoff_ms: u64,
     /// `NUBA_METRICS=<path>`: write the matrix-end Prometheus
     /// text-exposition dump here (outcome counts, cycle totals, merged
     /// per-tier latency histograms — deterministic; no wall-clock
-    /// values).
+    /// values). Only `fig_timeseries`, `fig_latency` and `nuba_sim`
+    /// write it.
     pub metrics: Option<String>,
     /// `NUBA_EVENTS=<path>`: write the structured harness event log
-    /// (JSONL, one lifecycle event per line, monotonic `seq`) here.
+    /// (JSONL, one outcome line per job, monotonic `seq`) here.
     /// Rendered post-run in submission order, so the content is
-    /// deterministic — no wall-clock fields at all.
+    /// deterministic — no wall-clock fields at all. Only
+    /// `fig_timeseries`, `fig_latency` and `nuba_sim` write it.
     pub events: Option<String>,
     /// `NUBA_MATRIX_TRACE=<path>`: write the matrix-level Chrome trace
-    /// (jobs as spans, retry attempts as nested spans) here. The only
-    /// artifact that carries wall-clock timestamps — explicitly exempt
-    /// from the byte-determinism contract (DESIGN.md §16).
+    /// (one span per job) here. The only artifact that carries
+    /// wall-clock timestamps — explicitly exempt from the
+    /// byte-determinism contract (DESIGN.md §16). Only
+    /// `fig_timeseries`, `fig_latency` and `nuba_sim` write it.
     pub matrix_trace: Option<String>,
 }
 
@@ -109,7 +104,7 @@ pub struct HarnessOptions {
 /// [`HarnessOptions`] knobs, `NUBA_NO_SKIP` (read by the simulator core)
 /// and `NUBA_CORRELATION` (read by `fig_correlation`). Any other
 /// `NUBA_*` variable in the environment draws a warning.
-const KNOWN: [&str; 21] = [
+const KNOWN: [&str; 17] = [
     "NUBA_CHAOS",
     "NUBA_CORRELATION",
     "NUBA_CYCLES",
@@ -117,14 +112,10 @@ const KNOWN: [&str; 21] = [
     "NUBA_FAST",
     "NUBA_FULL",
     "NUBA_JOBS",
-    "NUBA_JOB_DEADLINE_SECS",
-    "NUBA_JOB_RETRIES",
-    "NUBA_MATRIX_DEADLINE_SECS",
     "NUBA_MATRIX_TRACE",
     "NUBA_METRICS",
     "NUBA_NO_SKIP",
     "NUBA_PAE",
-    "NUBA_RETRY_BACKOFF_MS",
     "NUBA_SCREEN",
     "NUBA_SIMCHECK_CYCLES",
     "NUBA_STORE_DIR",
@@ -175,7 +166,6 @@ impl HarnessOptions {
             cycles: number(&var, "NUBA_CYCLES")?.unwrap_or(60_000),
             fast: flag("NUBA_FAST"),
             full: flag("NUBA_FULL"),
-            job_retries: number(&var, "NUBA_JOB_RETRIES")?.unwrap_or(0),
             strict_faults: flag("NUBA_STRICT_FAULTS"),
             timeseries: var("NUBA_TIMESERIES"),
             trace: var("NUBA_TRACE"),
@@ -185,9 +175,6 @@ impl HarnessOptions {
             screen: flag("NUBA_SCREEN"),
             no_skip: flag("NUBA_NO_SKIP"),
             store_dir: var("NUBA_STORE_DIR"),
-            matrix_deadline_secs: number(&var, "NUBA_MATRIX_DEADLINE_SECS")?,
-            job_deadline_secs: number(&var, "NUBA_JOB_DEADLINE_SECS")?,
-            retry_backoff_ms: number(&var, "NUBA_RETRY_BACKOFF_MS")?.unwrap_or(100),
             metrics: var("NUBA_METRICS"),
             events: var("NUBA_EVENTS"),
             matrix_trace: var("NUBA_MATRIX_TRACE"),
@@ -541,9 +528,9 @@ mod tests {
 
     #[test]
     fn malformed_numeric_knobs_are_errors() {
-        let opts = parse_vars(&[("NUBA_CYCLES", "6000"), ("NUBA_JOB_DEADLINE_SECS", "1.5")]);
+        let opts = parse_vars(&[("NUBA_CYCLES", "6000"), ("NUBA_SIMCHECK_CYCLES", "512")]);
         let opts = opts.expect("well-formed knobs parse");
-        assert_eq!((opts.cycles, opts.job_deadline_secs), (6000, Some(1.5)));
+        assert_eq!((opts.cycles, opts.simcheck_cycles), (6000, 512));
         assert_eq!(parse_vars(&[("NUBA_CYCLES", "")]).unwrap().cycles, 60_000);
         assert_eq!(
             parse_vars(&[("NUBA_CYCLES", "60k")]).unwrap_err(),
@@ -553,7 +540,7 @@ mod tests {
             parse_vars(&[("NUBA_JOBS", "two")]).unwrap_err(),
             "NUBA_JOBS=\"two\" is not a number"
         );
-        assert!(parse_vars(&[("NUBA_MATRIX_DEADLINE_SECS", "soon")]).is_err());
+        assert!(parse_vars(&[("NUBA_SIMCHECK_CYCLES", "soon")]).is_err());
     }
 
     #[test]
@@ -567,6 +554,29 @@ mod tests {
             "NUBA_CORRELATION",
         ];
         assert_eq!(unknown_knobs(vars), ["NUBA_CYCLE", "NUBA_FIDELITY"]);
+    }
+
+    /// The README's "Environment knobs" table lists exactly [`KNOWN`]:
+    /// the `NUBA_*` name that opens each row, no more and no fewer.
+    #[test]
+    fn readme_knob_table_matches_known() {
+        let readme = include_str!("../../../README.md");
+        let table = readme
+            .split_once("### Environment knobs")
+            .expect("README has an Environment knobs section")
+            .1;
+        let rows: Vec<&str> = table
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| l.strip_prefix("| `"))
+            .map(|cell| &cell[..cell.find(['=', '`']).unwrap_or(cell.len())])
+            .filter(|name| name.starts_with("NUBA_"))
+            .collect();
+        let documented: std::collections::BTreeSet<&str> = rows.iter().copied().collect();
+        let known: std::collections::BTreeSet<&str> = KNOWN.into_iter().collect();
+        assert_eq!(documented, known, "README knob table and KNOWN disagree");
+        assert_eq!(rows.len(), KNOWN.len(), "a knob has two README rows");
     }
 
     #[test]

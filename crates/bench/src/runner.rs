@@ -14,36 +14,29 @@
 //! registry (`nuba_types::invariant`), which uses relaxed atomics and
 //! only ever *counts* under the pool.
 //!
-//! Shared runner state — the warm-trace cache, the quarantine
-//! registry, the optional on-disk [trace store](crate::store), and the
-//! cancellation token — lives in an injectable [`RunnerCtx`].
+//! Shared runner state — the warm-trace cache, the quarantine registry
+//! and the optional on-disk [trace store](crate::store) — lives in an
+//! injectable [`RunnerCtx`].
 //! Binaries keep calling the module-level [`run_matrix`]/[`finish`]
 //! wrappers, which delegate to a process-wide environment-configured
 //! context; servers and tests construct their own via
 //! [`RunnerCtx::new`]/[`RunnerCtx::with_store`] and use
 //! [`run_matrix_ctx`].
 //!
-//! Fault isolation and lifecycle: each job executes under
-//! [`std::panic::catch_unwind`] with an optional per-job
-//! forward-progress deadline, an optional *wall-clock* deadline
-//! ([`Job::with_wall_deadline`] / `NUBA_JOB_DEADLINE_SECS`), and
-//! `NUBA_JOB_RETRIES` retries separated by deterministic exponential
-//! backoff (`NUBA_RETRY_BACKOFF_MS`). The timed window runs in chunks
-//! (`run(a); run(b)` ≡ `run(a+b)`, proven by the session tests), so
-//! cancellation is cooperative: between chunks a job checks the
-//! context's [`CancelToken`] (tripped by Ctrl-C or
-//! `NUBA_MATRIX_DEADLINE_SECS`) and its deadlines, and stops, keeping
-//! no state. Every [`JobResult`]
-//! carries a [`JobOutcome`]: quarantined failures and timeouts are
-//! distinct from graceful cancellation, which is *not* a fault.
-//! Binaries call [`finish`] last to print the quarantine summary; the
-//! exit code is nonzero only under `NUBA_STRICT_FAULTS=1`, so chaos
-//! drills don't fail CI unless explicitly asked to.
+//! Fault isolation and lifecycle: each job runs exactly once, straight
+//! through, under [`std::panic::catch_unwind`] with an optional per-job
+//! forward-progress deadline. A panic or [`SimError`] quarantines the
+//! job. Nothing retries it: the simulation is deterministic, so a
+//! failure recurs identically (DESIGN.md §15.5). Every [`JobResult`]
+//! carries a [`JobOutcome`]. Binaries call [`finish`] last to print the
+//! quarantine summary; the exit code is nonzero only under
+//! `NUBA_STRICT_FAULTS=1`, so chaos drills don't fail CI unless
+//! explicitly asked to.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use nuba_core::telemetry::escape_json;
 use nuba_core::{
@@ -80,11 +73,6 @@ pub struct Job {
     /// before the watchdog quarantines the job); `None` keeps the
     /// configuration's `watchdog_cycles`.
     pub deadline: Option<u64>,
-    /// Wall-clock budget in seconds; past it the job stops and reports
-    /// [`JobOutcome::TimedOut`].
-    /// `None` falls back to `NUBA_JOB_DEADLINE_SECS` (itself usually
-    /// unset — no wall deadline).
-    pub wall_deadline_secs: Option<f64>,
     /// Sanctioned chaos knob: panic instead of simulating, to prove the
     /// matrix survives a dying job. Never set outside chaos drills.
     pub inject_panic: bool,
@@ -101,7 +89,6 @@ impl Job {
             seed: None,
             faults: None,
             deadline: None,
-            wall_deadline_secs: None,
             inject_panic: false,
         }
     }
@@ -134,17 +121,6 @@ impl Job {
         self
     }
 
-    /// Give the job a wall-clock budget: once `secs` elapse, the job
-    /// stops at the next chunk boundary and reports
-    /// [`JobOutcome::TimedOut`] — a slow-but-live job can no longer
-    /// burn wall-clock forever (the cycles-based watchdog only catches
-    /// jobs that stop *retiring*).
-    #[must_use]
-    pub fn with_wall_deadline(mut self, secs: f64) -> Job {
-        self.wall_deadline_secs = Some(secs);
-        self
-    }
-
     /// Make the job panic on entry (chaos drills only).
     #[must_use]
     pub fn with_injected_panic(mut self) -> Job {
@@ -153,54 +129,24 @@ impl Job {
     }
 }
 
-/// How a job ended. `Cancelled` is a graceful drain, not a fault: it
-/// is never quarantined and never fails the process.
+/// How a job ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobOutcome {
     /// The timed window completed and the report is valid.
     Ok,
-    /// The job failed (panic, validation, watchdog) after all retries
-    /// and was quarantined.
+    /// The job failed (panic, validation, watchdog) and was
+    /// quarantined.
     Failed,
-    /// The matrix was cancelled (Ctrl-C, `NUBA_MATRIX_DEADLINE_SECS`)
-    /// before or during this job; the report is empty but the job is
-    /// *not* a fault.
-    Cancelled,
-    /// The job's wall-clock deadline elapsed; quarantined.
-    TimedOut,
 }
 
 impl JobOutcome {
-    /// Short stable string for summaries and `BENCH_runner.json`.
+    /// Short stable string for summaries and the event log.
     pub fn as_str(self) -> &'static str {
         match self {
             JobOutcome::Ok => "ok",
             JobOutcome::Failed => "failed",
-            JobOutcome::Cancelled => "cancelled",
-            JobOutcome::TimedOut => "timed_out",
         }
     }
-}
-
-/// One deterministic lifecycle event of a job, captured while it runs
-/// and rendered post-run into the `NUBA_EVENTS` JSONL log. No
-/// wall-clock content: every payload is a logical quantity (attempt
-/// number, simulated cycle), so the rendered log is byte-identical
-/// across worker counts and skip modes. `queued` and the outcome event
-/// are synthesized at render time from the [`JobResult`] itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobEvent {
-    /// An attempt began (`attempt` is 1-based).
-    Started {
-        /// 1-based attempt number.
-        attempt: u32,
-    },
-    /// A failed attempt is being retried (`attempt` is the upcoming
-    /// attempt's number).
-    Retried {
-        /// 1-based number of the attempt about to start.
-        attempt: u32,
-    },
 }
 
 /// A completed job with its throughput record.
@@ -211,18 +157,14 @@ pub struct JobResult {
     /// The simulation report ([`SimReport::empty`] unless the outcome
     /// is [`JobOutcome::Ok`]).
     pub report: SimReport,
-    /// Wall-clock seconds this job took (build + warm + timed window,
-    /// including failed attempts).
+    /// Wall-clock seconds this job took (build + warm + timed window).
     pub wall_seconds: f64,
     /// Simulated cycles per wall-clock second (0 if quarantined).
     pub cycles_per_sec: f64,
     /// How the job ended.
     pub outcome: JobOutcome,
-    /// Why the job was quarantined; `None` on success or cancellation.
+    /// Why the job was quarantined; `None` on success.
     pub error: Option<String>,
-    /// Attempts consumed (1 + retries actually taken; 0 when cancelled
-    /// before starting).
-    pub attempts: u32,
     /// Windowed telemetry retained by the job's sampler (empty unless
     /// the job's config — or `NUBA_TIMESERIES` — enabled windowing, or
     /// the job was quarantined).
@@ -231,31 +173,23 @@ pub struct JobResult {
     /// job's config — or `NUBA_TRACE` — enabled tracing, or the job
     /// was quarantined).
     pub trace: Vec<TraceRecord>,
-    /// Deterministic lifecycle events, in occurrence order (see
-    /// [`JobEvent`]; `queued` and the outcome are synthesized at
-    /// render time).
-    pub events: Vec<JobEvent>,
-    /// Wall-clock offset of the job's first attempt relative to the
-    /// matrix start, in seconds. Feeds only the matrix Chrome trace —
-    /// the one wall-clock-exempt artifact (DESIGN.md §16).
+    /// Wall-clock offset of the job's start relative to the matrix
+    /// start, in seconds. Feeds only the matrix Chrome trace — the one
+    /// wall-clock-exempt artifact (DESIGN.md §16).
     pub start_offset_secs: f64,
-    /// Wall-clock offset of each attempt's start relative to the
-    /// matrix start (one entry per attempt; matrix-trace only).
-    pub attempt_offsets_secs: Vec<f64>,
 }
 
 impl JobResult {
-    /// Whether this job was quarantined instead of completing
-    /// (failure or wall-clock timeout; a graceful cancellation is not
-    /// a fault).
+    /// Whether this job was quarantined instead of completing.
     pub fn failed(&self) -> bool {
-        matches!(self.outcome, JobOutcome::Failed | JobOutcome::TimedOut)
+        self.outcome == JobOutcome::Failed
     }
 
-    /// Whether the matrix drained this job without running it to
-    /// completion.
+    /// Always `false`: every job runs once to an outcome, and nothing
+    /// drains a matrix early. Kept because `nuba-perf` (`benchmark/`)
+    /// still asks.
     pub fn cancelled(&self) -> bool {
-        self.outcome == JobOutcome::Cancelled
+        false
     }
 }
 
@@ -266,83 +200,6 @@ pub struct JobFailure {
     pub label: String,
     /// The panic message or [`SimError`] rendering that killed it.
     pub error: String,
-    /// Attempts consumed before giving up.
-    pub attempts: u32,
-}
-
-/// Cooperative cancellation flag shared by every job of a matrix.
-/// Cloning shares the flag. [`is_cancelled`](CancelToken::is_cancelled)
-/// also observes the process-wide Ctrl-C flag, so an interactive
-/// interrupt drains *every* in-flight matrix gracefully (a second
-/// Ctrl-C falls back to the default handler and kills the process).
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-tripped token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Trip the token. Returns `true` on the tripping call (callers
-    /// use this to log the drain exactly once).
-    pub fn cancel(&self) -> bool {
-        !self.flag.swap(true, Ordering::SeqCst)
-    }
-
-    /// Whether this token — or the process-wide Ctrl-C flag — has been
-    /// tripped.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst) || sigint_received()
-    }
-}
-
-#[cfg(unix)]
-mod sigint {
-    //! Minimal SIGINT hook with no external dependencies: the handler
-    //! sets an atomic flag (async-signal-safe) and restores the default
-    //! disposition so a second Ctrl-C terminates immediately.
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Once;
-
-    pub(super) static RECEIVED: AtomicBool = AtomicBool::new(false);
-
-    const SIGINT: i32 = 2;
-
-    extern "C" {
-        fn signal(signum: i32, handler: Option<extern "C" fn(i32)>) -> usize;
-    }
-
-    extern "C" fn on_sigint(_sig: i32) {
-        RECEIVED.store(true, Ordering::SeqCst);
-        // `None` is the NULL handler, i.e. SIG_DFL.
-        unsafe {
-            signal(SIGINT, None);
-        }
-    }
-
-    pub(super) fn install() {
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| unsafe {
-            signal(SIGINT, Some(on_sigint));
-        });
-    }
-}
-
-#[cfg(not(unix))]
-mod sigint {
-    use std::sync::atomic::AtomicBool;
-
-    pub(super) static RECEIVED: AtomicBool = AtomicBool::new(false);
-
-    pub(super) fn install() {}
-}
-
-/// Whether the process has received a Ctrl-C since the matrix started.
-fn sigint_received() -> bool {
-    sigint::RECEIVED.load(Ordering::SeqCst)
 }
 
 /// A workload's first-touch trace, shared by every job that forks from
@@ -351,9 +208,8 @@ type Touches = Arc<[(PageNum, SmId)]>;
 
 /// Everything the runner shares across the jobs of a matrix, made
 /// injectable so servers and tests don't fight over process-globals
-/// (ROADMAP item 3): the warm-trace cache, the quarantine registry,
-/// the optional on-disk [trace store](crate::store), and the
-/// cancellation token.
+/// (ROADMAP item 3): the warm-trace cache, the quarantine registry and
+/// the optional on-disk [trace store](crate::store).
 ///
 /// The module-level wrappers ([`run_matrix`], [`finish`],
 /// [`quarantined_jobs`], …) delegate to the process-wide
@@ -373,8 +229,6 @@ pub struct RunnerCtx {
     /// On-disk first-touch traces; `None` falls back byte-identically
     /// to the in-memory cache alone.
     store: Option<TraceStore>,
-    /// Shared cancellation flag (Ctrl-C, matrix deadline).
-    cancel: CancelToken,
 }
 
 impl RunnerCtx {
@@ -384,7 +238,6 @@ impl RunnerCtx {
             warm: Mutex::new(HashMap::new()),
             quarantine: Mutex::new(Vec::new()),
             store: None,
-            cancel: CancelToken::new(),
         }
     }
 
@@ -410,12 +263,6 @@ impl RunnerCtx {
     /// The context's trace store, if one is configured.
     pub fn store(&self) -> Option<&TraceStore> {
         self.store.as_ref()
-    }
-
-    /// The context's cancellation token (clone it into signal handlers
-    /// or deadline watchers; cancelling drains the matrix gracefully).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
     }
 
     /// Snapshot of the quarantine registry, sorted by job label.
@@ -446,8 +293,7 @@ impl RunnerCtx {
 
     /// Print the quarantine summary (if any) and return the process
     /// exit code: nonzero only when jobs were quarantined *and*
-    /// `NUBA_STRICT_FAULTS=1`. Graceful cancellations are reported but
-    /// never gate.
+    /// `NUBA_STRICT_FAULTS=1`.
     pub fn finish(&self) -> i32 {
         let q = self.quarantined_jobs();
         if q.is_empty() {
@@ -455,10 +301,7 @@ impl RunnerCtx {
         }
         eprintln!("runner: {} job(s) quarantined:", q.len());
         for f in &q {
-            eprintln!(
-                "  QUARANTINED {:<28} after {} attempt(s): {}",
-                f.label, f.attempts, f.error
-            );
+            eprintln!("  QUARANTINED {:<28} {}", f.label, f.error);
         }
         let strict = HarnessOptions::get().strict_faults;
         if strict {
@@ -525,11 +368,6 @@ pub fn reset_warm_cache() {
     global_ctx().reset_warm_cache()
 }
 
-/// Retries per job after a failure: `NUBA_JOB_RETRIES`, default 0.
-pub fn job_retries() -> u32 {
-    HarnessOptions::get().job_retries
-}
-
 /// Print the global context's quarantine summary (if any) and return
 /// the process exit code. Call last in every matrix binary:
 ///
@@ -592,12 +430,6 @@ where
 const ENV_WINDOW_CYCLES: u64 = 1000;
 const ENV_TRACE_PERIOD: u64 = 64;
 
-/// Cycles between cooperative cancellation/deadline checks.
-/// `run(a); run(b)` ≡ `run(a+b)` (session tests), so chunking never
-/// changes results — it only bounds how stale a cancellation check can
-/// get.
-const CANCEL_CHUNK: u64 = 8192;
-
 /// Build a simulator for `cfg`/`wl` and warm it by replaying the
 /// workload's first-touch trace — byte-identical to
 /// [`GpuSimulator::warm`], which replays the same trace.
@@ -656,94 +488,19 @@ fn warm_trace(ctx: &RunnerCtx, bench: BenchmarkId, cfg: &GpuConfig, wl: &Workloa
     touches
 }
 
-/// Why a job attempt stopped short of a report.
-enum JobAbort {
-    /// The simulation failed (validation, watchdog); retryable.
-    Sim(SimError),
-    /// The matrix is draining; not a fault, never retried.
-    Cancelled,
-    /// The job's wall-clock deadline elapsed; quarantined, never
-    /// retried (the budget is already spent).
-    TimedOut,
-}
-
-/// Everything a chunked timed window needs to cooperate with
-/// cancellation and deadlines.
-struct DetailedWindow<'a> {
-    ctx: &'a RunnerCtx,
-    /// Absolute cycle the timed window ends at (`Harness::cycles`).
-    end_cycle: u64,
-    job_deadline: Option<Instant>,
-    matrix_deadline: Option<Instant>,
-}
-
-impl DetailedWindow<'_> {
-    /// Cooperative gate between chunks: cancellation, matrix deadline,
-    /// job wall deadline.
-    fn gate(&self) -> Result<(), JobAbort> {
-        if self.ctx.cancel.is_cancelled() {
-            return Err(JobAbort::Cancelled);
-        }
-        if self.matrix_deadline.is_some_and(|d| Instant::now() >= d) {
-            if self.ctx.cancel.cancel() {
-                eprintln!("runner: NUBA_MATRIX_DEADLINE_SECS exceeded — draining matrix");
-            }
-            return Err(JobAbort::Cancelled);
-        }
-        if self.job_deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(JobAbort::TimedOut);
-        }
-        Ok(())
-    }
-
-    /// Run the window to `end_cycle` in chunks. Warm-up leaves the clock
-    /// at 0, so chunked and straight-through runs retire byte-identical
-    /// reports; chunking only makes cancellation and wall deadlines
-    /// cooperative.
-    fn run(&self, gpu: &mut GpuSimulator) -> Result<SimReport, JobAbort> {
-        loop {
-            self.gate()?;
-            let remaining = self.end_cycle.saturating_sub(gpu.cycle());
-            if remaining == 0 {
-                return Ok(gpu.report());
-            }
-            let chunk = remaining.min(CANCEL_CHUNK);
-            let r = gpu.run(chunk).map_err(JobAbort::Sim)?;
-            if remaining <= chunk {
-                return Ok(r);
-            }
-        }
-    }
-}
-
-/// What a successful attempt hands back: the report and the job's
-/// retained telemetry.
+/// What a successful job hands back: the report and the job's retained
+/// telemetry.
 struct JobOutput {
     report: SimReport,
     windows: Vec<TelemetryWindow>,
     trace: Vec<TraceRecord>,
 }
 
-/// One attempt at a job: build, warm, arm faults/watchdog, run. Every
-/// failure mode surfaces as `Err` (validation, watchdog, cancellation,
-/// wall deadline) or a panic (workload/config mismatch, internal bug)
-/// — the caller catches both. A retry starts over from warm-up.
-fn execute_job(
-    ctx: &RunnerCtx,
-    h: &Harness,
-    job: &Job,
-    job_deadline: Option<Instant>,
-    matrix_deadline: Option<Instant>,
-) -> Result<JobOutput, JobAbort> {
-    let win = DetailedWindow {
-        ctx,
-        end_cycle: h.cycles,
-        job_deadline,
-        matrix_deadline,
-    };
-    // A job drained or out of budget before it starts builds nothing
-    // and writes nothing to the trace store.
-    win.gate()?;
+/// A job, start to finish: build, warm, arm faults/watchdog, run the
+/// timed window. Every failure mode surfaces as `Err` (validation,
+/// watchdog) or a panic (workload/config mismatch, internal bug) — the
+/// caller catches both.
+fn execute_job(ctx: &RunnerCtx, h: &Harness, job: &Job) -> Result<JobOutput, SimError> {
     let opts = HarnessOptions::get();
     let scale = job.scale.unwrap_or(h.scale);
     let seed = job.seed.unwrap_or(h.seed);
@@ -764,7 +521,7 @@ fn execute_job(
     let wl = Workload::build(job.bench, scale, cfg.num_sms, seed);
     // The fault plan and watchdog are armed after warm-up, which only
     // faults pages in: faulted jobs share the warm path.
-    let mut gpu = warmed_simulator(ctx, job.bench, &cfg, &wl).map_err(JobAbort::Sim)?;
+    let mut gpu = warmed_simulator(ctx, job.bench, &cfg, &wl)?;
     if let Some(plan) = &job.faults {
         gpu.set_fault_plan(plan);
     }
@@ -774,7 +531,7 @@ fn execute_job(
     if job.inject_panic {
         panic!("injected chaos panic (Job::with_injected_panic)");
     }
-    let report = win.run(&mut gpu)?;
+    let report = gpu.run(h.cycles)?;
     let windows = gpu.telemetry().windows_vec();
     let trace = gpu.telemetry().trace_records().to_vec();
     Ok(JobOutput {
@@ -794,170 +551,46 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Deterministic exponential backoff before retry `attempt + 1`:
-/// `base << (attempt - 1)` milliseconds, capped at 5 s. Depends only
-/// on the attempt number, never on a clock or RNG. `base == 0`
-/// disables the sleep (attempts still count).
-fn backoff_sleep(base_ms: u64, attempt: u32) {
-    if base_ms == 0 {
-        return;
-    }
-    let shift = attempt.saturating_sub(1).min(16);
-    let ms = base_ms.saturating_mul(1u64 << shift).min(5_000);
-    std::thread::sleep(Duration::from_millis(ms));
-}
-
-/// Lifecycle observations accumulated while a job ran: the
-/// deterministic events for the log plus the wall-clock offsets that
-/// feed only the matrix trace.
-struct Lifecycle {
-    events: Vec<JobEvent>,
-    start_offset_secs: f64,
-    attempt_offsets_secs: Vec<f64>,
-}
-
-/// A [`JobResult`] for a job that never produced a report.
-fn empty_result(
-    job: &Job,
-    outcome: JobOutcome,
-    error: Option<String>,
-    attempts: u32,
-    start: Instant,
-    lifecycle: Lifecycle,
-) -> JobResult {
-    JobResult {
+/// Execute one job exactly as [`Harness::run`] / [`Harness::run_scaled`]
+/// would, timing it. A panic or [`SimError`] is caught and quarantines
+/// the job instead of taking the matrix down.
+fn run_job(ctx: &RunnerCtx, h: &Harness, job: &Job, matrix_start: Instant) -> JobResult {
+    let start = Instant::now();
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_job(ctx, h, job)));
+    let wall_seconds = start.elapsed().as_secs_f64();
+    let result = JobResult {
         label: job.label.clone(),
         report: SimReport::empty(),
-        wall_seconds: start.elapsed().as_secs_f64(),
+        wall_seconds,
         cycles_per_sec: 0.0,
-        outcome,
-        error,
-        attempts,
+        outcome: JobOutcome::Ok,
+        error: None,
         windows: Vec::new(),
         trace: Vec::new(),
-        events: lifecycle.events,
-        start_offset_secs: lifecycle.start_offset_secs,
-        attempt_offsets_secs: lifecycle.attempt_offsets_secs,
-    }
-}
-
-/// Execute one job exactly as [`Harness::run`] / [`Harness::run_scaled`]
-/// would, timing it. Panics and [`SimError`]s are caught; after
-/// `NUBA_JOB_RETRIES` retries (with deterministic backoff between
-/// attempts) the job is quarantined instead of taking the matrix down.
-/// Cancellation and wall-clock timeouts break out immediately — a
-/// drained or budget-exhausted job is never retried.
-fn run_job(
-    ctx: &RunnerCtx,
-    h: &Harness,
-    job: &Job,
-    matrix_deadline: Option<Instant>,
-    matrix_start: Instant,
-) -> JobResult {
-    let opts = HarnessOptions::get();
-    let retries = job_retries();
-    let start = Instant::now();
-    let start_offset_secs = start.duration_since(matrix_start).as_secs_f64();
-    // Claimed after the matrix started draining: report the job as
-    // cancelled without touching the simulator.
-    if ctx.cancel.is_cancelled() || matrix_deadline.is_some_and(|d| Instant::now() >= d) {
-        ctx.cancel.cancel();
-        return empty_result(
-            job,
-            JobOutcome::Cancelled,
-            None,
-            0,
-            start,
-            Lifecycle {
-                events: Vec::new(),
-                start_offset_secs,
-                attempt_offsets_secs: Vec::new(),
-            },
-        );
-    }
-    let deadline_secs = job.wall_deadline_secs.or(opts.job_deadline_secs);
-    let job_deadline = deadline_secs.map(|s| start + Duration::from_secs_f64(s.max(0.0)));
-    let mut attempts = 0u32;
-    let mut events: Vec<JobEvent> = Vec::new();
-    let mut attempt_offsets: Vec<f64> = Vec::new();
-    let (outcome, error) = loop {
-        attempts += 1;
-        events.push(if attempts == 1 {
-            JobEvent::Started { attempt: attempts }
-        } else {
-            JobEvent::Retried { attempt: attempts }
-        });
-        attempt_offsets.push(Instant::now().duration_since(matrix_start).as_secs_f64());
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(ctx, h, job, job_deadline, matrix_deadline)
-        }));
-        match attempt {
-            Ok(Ok(out)) => {
-                let wall_seconds = start.elapsed().as_secs_f64();
-                let cycles_per_sec = out.report.cycles as f64 / wall_seconds.max(1e-9);
-                return JobResult {
-                    label: job.label.clone(),
-                    report: out.report,
-                    wall_seconds,
-                    cycles_per_sec,
-                    outcome: JobOutcome::Ok,
-                    error: None,
-                    attempts,
-                    windows: out.windows,
-                    trace: out.trace,
-                    events,
-                    start_offset_secs,
-                    attempt_offsets_secs: attempt_offsets,
-                };
-            }
-            Ok(Err(JobAbort::Cancelled)) => break (JobOutcome::Cancelled, None),
-            Ok(Err(JobAbort::TimedOut)) => {
-                break (
-                    JobOutcome::TimedOut,
-                    Some(format!(
-                        "wall-clock deadline exceeded (budget {:.1}s)",
-                        deadline_secs.unwrap_or(0.0)
-                    )),
-                );
-            }
-            Ok(Err(JobAbort::Sim(e))) => {
-                if attempts <= retries {
-                    backoff_sleep(opts.retry_backoff_ms, attempts);
-                    continue;
-                }
-                break (JobOutcome::Failed, Some(e.to_string()));
-            }
-            Err(payload) => {
-                if attempts <= retries {
-                    backoff_sleep(opts.retry_backoff_ms, attempts);
-                    continue;
-                }
-                break (
-                    JobOutcome::Failed,
-                    Some(format!("panic: {}", panic_message(payload.as_ref()))),
-                );
-            }
-        }
+        start_offset_secs: start.duration_since(matrix_start).as_secs_f64(),
     };
-    if matches!(outcome, JobOutcome::Failed | JobOutcome::TimedOut) {
-        ctx.quarantine(JobFailure {
-            label: job.label.clone(),
-            error: error.clone().unwrap_or_default(),
-            attempts,
-        });
+    let error = match run {
+        Ok(Ok(out)) => {
+            return JobResult {
+                cycles_per_sec: out.report.cycles as f64 / wall_seconds.max(1e-9),
+                report: out.report,
+                windows: out.windows,
+                trace: out.trace,
+                ..result
+            };
+        }
+        Ok(Err(e)) => e.to_string(),
+        Err(payload) => format!("panic: {}", panic_message(payload.as_ref())),
+    };
+    ctx.quarantine(JobFailure {
+        label: job.label.clone(),
+        error: error.clone(),
+    });
+    JobResult {
+        outcome: JobOutcome::Failed,
+        error: Some(error),
+        ..result
     }
-    empty_result(
-        job,
-        outcome,
-        error,
-        attempts,
-        start,
-        Lifecycle {
-            events,
-            start_offset_secs,
-            attempt_offsets_secs: attempt_offsets,
-        },
-    )
 }
 
 /// Run an experiment matrix on the `NUBA_JOBS` pool under the global
@@ -988,24 +621,10 @@ pub fn run_matrix_ctx_with(
     // `NUBA_SCREEN=1` and guaranteed inert (not a byte of output, no
     // simulation effect) otherwise.
     crate::screen::print_screen_if_enabled(h, jobs);
-    // First Ctrl-C drains the matrix (jobs stop at a chunk edge), a
-    // second one kills the process via the restored default handler.
-    sigint::install();
     let matrix_start = Instant::now();
-    let matrix_deadline = HarnessOptions::get()
-        .matrix_deadline_secs
-        .map(|s| matrix_start + Duration::from_secs_f64(s.max(0.0)));
-    let results = run_jobs(jobs.len(), threads, |i| {
-        run_job(ctx, h, &jobs[i], matrix_deadline, matrix_start)
-    });
-    let drained = results.iter().filter(|r| r.cancelled()).count();
-    if drained > 0 {
-        eprintln!(
-            "runner: matrix drained — {drained} of {} job(s) cancelled gracefully",
-            results.len()
-        );
-    }
-    results
+    run_jobs(jobs.len(), threads, |i| {
+        run_job(ctx, h, &jobs[i], matrix_start)
+    })
 }
 
 /// Render every job's retained telemetry windows as JSONL, one line
@@ -1043,93 +662,57 @@ pub fn render_trace(results: &[JobResult]) -> String {
     out
 }
 
-/// Render the matrix's structured event log as JSONL: one lifecycle
-/// event per line, jobs in submission order, with a synthesized
-/// monotonic `seq`. For each job: `queued`, then the captured
-/// [`JobEvent`]s (started / retried), then the outcome (`ok` /
-/// `failed` / `cancelled` / `timed_out`, with `quarantined` set on
-/// faults). No wall-clock fields anywhere, so the log is
-/// byte-identical across worker counts and skip modes.
+/// Render the matrix's structured event log as JSONL: one outcome line
+/// per job (`ok` / `failed`, with `quarantined` and the error set on
+/// faults), jobs in submission order, with a monotonic `seq`. No
+/// wall-clock fields anywhere, so the log is byte-identical across
+/// worker counts and skip modes.
 pub fn render_event_log(results: &[JobResult]) -> String {
     let mut out = String::new();
-    let mut seq = 0u64;
-    let line = |out: &mut String, seq: &mut u64, body: String| {
-        out.push_str(&format!("{{\"seq\":{},{body}}}\n", *seq));
-        *seq += 1;
-    };
-    for (job_idx, r) in results.iter().enumerate() {
-        let ident = format!(
-            "\"job\":\"{}\",\"job_index\":{job_idx}",
-            escape_json(&r.label)
-        );
-        line(&mut out, &mut seq, format!("\"event\":\"queued\",{ident}"));
-        for ev in &r.events {
-            let body = match ev {
-                JobEvent::Started { attempt } => {
-                    format!("\"event\":\"started\",{ident},\"attempt\":{attempt}")
-                }
-                JobEvent::Retried { attempt } => {
-                    format!("\"event\":\"retried\",{ident},\"attempt\":{attempt}")
-                }
-            };
-            line(&mut out, &mut seq, body);
-        }
-        let mut body = format!(
-            "\"event\":\"{}\",{ident},\"attempts\":{},\"cycles\":{}",
+    for (seq, r) in results.iter().enumerate() {
+        out.push_str(&format!(
+            "{{\"seq\":{seq},\"event\":\"{}\",\"job\":\"{}\",\"job_index\":{seq},\"cycles\":{}",
             r.outcome.as_str(),
-            r.attempts,
+            escape_json(&r.label),
             r.report.cycles
-        );
+        ));
         if r.failed() {
-            body.push_str(",\"quarantined\":true");
+            out.push_str(",\"quarantined\":true");
         }
         if let Some(e) = &r.error {
-            body.push_str(&format!(",\"error\":\"{}\"", escape_json(e)));
+            out.push_str(&format!(",\"error\":\"{}\"", escape_json(e)));
         }
-        line(&mut out, &mut seq, body);
+        out.push_str("}\n");
     }
     out
 }
 
 /// Render the matrix-level Chrome trace: one span per job (pid 0,
-/// tid = submission index) and one nested span per retry attempt.
-/// This is the single artifact that carries wall-clock timestamps —
-/// explicitly exempt from the byte-determinism contract, because its
-/// whole point is to show the real schedule (who ran when, where the
-/// retries went). Load at `chrome://tracing` or in Perfetto.
+/// tid = submission index). This is the single artifact that carries
+/// wall-clock timestamps — explicitly exempt from the byte-determinism
+/// contract, because its whole point is to show the real schedule (who
+/// ran when). Load at `chrome://tracing` or in Perfetto.
 pub fn render_matrix_trace(results: &[JobResult]) -> String {
-    let mut events: Vec<String> = Vec::new();
     let us = |secs: f64| (secs * 1e6).round().max(0.0) as u64;
-    for (job_idx, r) in results.iter().enumerate() {
-        events.push(format!(
-            concat!(
-                "{{\"name\":\"{}\",\"cat\":\"job\",\"ph\":\"X\",",
-                "\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},",
-                "\"args\":{{\"outcome\":\"{}\",\"attempts\":{},\"cycles\":{}}}}}"
-            ),
-            escape_json(&r.label),
-            us(r.start_offset_secs),
-            us(r.wall_seconds),
-            job_idx,
-            r.outcome.as_str(),
-            r.attempts,
-            r.report.cycles,
-        ));
-        let end = r.start_offset_secs + r.wall_seconds;
-        for (i, &at) in r.attempt_offsets_secs.iter().enumerate() {
-            let next = r.attempt_offsets_secs.get(i + 1).copied().unwrap_or(end);
-            events.push(format!(
+    let events: Vec<String> = results
+        .iter()
+        .enumerate()
+        .map(|(job_idx, r)| {
+            format!(
                 concat!(
-                    "{{\"name\":\"attempt {}\",\"cat\":\"attempt\",\"ph\":\"X\",",
-                    "\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}}"
+                    "{{\"name\":\"{}\",\"cat\":\"job\",\"ph\":\"X\",",
+                    "\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},",
+                    "\"args\":{{\"outcome\":\"{}\",\"cycles\":{}}}}}"
                 ),
-                i + 1,
-                us(at),
-                us((next - at).max(0.0)),
+                escape_json(&r.label),
+                us(r.start_offset_secs),
+                us(r.wall_seconds),
                 job_idx,
-            ));
-        }
-    }
+                r.outcome.as_str(),
+                r.report.cycles,
+            )
+        })
+        .collect();
     if events.is_empty() {
         return "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n".to_string();
     }
@@ -1140,8 +723,8 @@ pub fn render_matrix_trace(results: &[JobResult]) -> String {
 }
 
 /// Fold a matrix's results into a [`MetricsRegistry`] for the
-/// `NUBA_METRICS` Prometheus dump: job outcome counts, attempt and
-/// cycle totals, and the per-tier / per-stage latency histograms
+/// `NUBA_METRICS` Prometheus dump: job outcome counts, cycle and
+/// warp-op totals, and the per-tier / per-stage latency histograms
 /// merged across jobs. Deliberately no wall-clock values — the dump is
 /// part of the deterministic artifact set.
 pub fn build_matrix_registry(results: &[JobResult]) -> MetricsRegistry {
@@ -1149,18 +732,9 @@ pub fn build_matrix_registry(results: &[JobResult]) -> MetricsRegistry {
     let stats = MatrixStats::of(results);
     reg.counter_add("nuba_jobs_total", stats.jobs as u64);
     reg.counter_add("nuba_jobs_quarantined_total", stats.quarantined as u64);
-    reg.counter_add("nuba_jobs_cancelled_total", stats.cancelled as u64);
-    reg.counter_add("nuba_jobs_timed_out_total", stats.timed_out as u64);
     reg.counter_add(
         "nuba_jobs_ok_total",
-        results
-            .iter()
-            .filter(|r| r.outcome == JobOutcome::Ok)
-            .count() as u64,
-    );
-    reg.counter_add(
-        "nuba_job_attempts_total",
-        results.iter().map(|r| u64::from(r.attempts)).sum(),
+        (stats.jobs - stats.quarantined) as u64,
     );
     reg.counter_add("nuba_cycles_total", stats.total_cycles);
     reg.counter_add(
@@ -1196,7 +770,8 @@ pub fn build_matrix_registry(results: &[JobResult]) -> MetricsRegistry {
 /// (matrix-level Chrome trace), and `NUBA_METRICS` (Prometheus text
 /// dump). No-op when none are set. Write failures warn on stderr
 /// rather than failing the run — observability must never take an
-/// otherwise-healthy matrix down.
+/// otherwise-healthy matrix down. Only `fig_timeseries`, `fig_latency`
+/// and `nuba_sim` call this; other binaries write none of these files.
 pub fn write_telemetry_outputs(results: &[JobResult]) {
     let opts = HarnessOptions::get();
     let write = |path: &str, what: &str, content: String| match std::fs::write(path, content) {
@@ -1233,14 +808,8 @@ pub struct MatrixStats {
     pub cpu_seconds: f64,
     /// Total simulated cycles across the matrix.
     pub total_cycles: u64,
-    /// Jobs that were quarantined instead of completing (failures and
-    /// wall-clock timeouts).
+    /// Jobs that were quarantined instead of completing.
     pub quarantined: usize,
-    /// Jobs drained gracefully by cancellation (not faults).
-    pub cancelled: usize,
-    /// Jobs that exceeded their wall-clock deadline (subset of
-    /// `quarantined`).
-    pub timed_out: usize,
 }
 
 impl MatrixStats {
@@ -1251,11 +820,6 @@ impl MatrixStats {
             cpu_seconds: results.iter().map(|r| r.wall_seconds).sum(),
             total_cycles: results.iter().map(|r| r.report.cycles).sum(),
             quarantined: results.iter().filter(|r| r.failed()).count(),
-            cancelled: results.iter().filter(|r| r.cancelled()).count(),
-            timed_out: results
-                .iter()
-                .filter(|r| r.outcome == JobOutcome::TimedOut)
-                .count(),
         }
     }
 
@@ -1265,8 +829,6 @@ impl MatrixStats {
         self.cpu_seconds += other.cpu_seconds;
         self.total_cycles += other.total_cycles;
         self.quarantined += other.quarantined;
-        self.cancelled += other.cancelled;
-        self.timed_out += other.timed_out;
     }
 }
 
@@ -1286,15 +848,12 @@ impl RunnerRecord {
         let cps = self.stats.total_cycles as f64 / self.wall_seconds.max(1e-9);
         format!(
             "    {{\"nuba_jobs\": {}, \"jobs\": {}, \"quarantined\": {}, \
-             \"cancelled\": {}, \"timed_out\": {}, \
              \"wall_seconds\": {:.3}, \"cpu_seconds\": {:.3}, \
              \"total_cycles\": {}, \
              \"cycles_per_sec\": {:.0}}}",
             self.nuba_jobs,
             self.stats.jobs,
             self.stats.quarantined,
-            self.stats.cancelled,
-            self.stats.timed_out,
             self.wall_seconds,
             self.stats.cpu_seconds,
             self.stats.total_cycles,
@@ -1319,11 +878,9 @@ impl RunnerRecord {
                 jobs: field("jobs")? as usize,
                 cpu_seconds: field("cpu_seconds")?,
                 total_cycles: field("total_cycles")? as u64,
-                // Absent in records written before fault quarantine /
-                // lifecycle outcomes landed.
+                // Absent in records written before fault quarantine
+                // landed.
                 quarantined: field("quarantined").map(|v| v as usize).unwrap_or(0),
-                cancelled: field("cancelled").map(|v| v as usize).unwrap_or(0),
-                timed_out: field("timed_out").map(|v| v as usize).unwrap_or(0),
             },
         })
     }
@@ -1472,86 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_deadline_times_out_and_quarantines() {
-        let h = tiny_harness();
-        let cfg = GpuConfig::paper_baseline(nuba_types::ArchKind::Nuba);
-        let job = Job::new("chaos-slow", BenchmarkId::Kmeans, cfg).with_wall_deadline(0.0);
-        let ctx = RunnerCtx::new();
-        let results = run_matrix_ctx_with(&ctx, &h, &[job], 1);
-        assert_eq!(results[0].outcome, JobOutcome::TimedOut);
-        assert!(results[0].failed(), "timeouts count as faults");
-        assert!(
-            results[0]
-                .error
-                .as_deref()
-                .unwrap()
-                .contains("wall-clock deadline"),
-            "{:?}",
-            results[0].error
-        );
-        assert_eq!(results[0].attempts, 1, "budget spent — never retried");
-        assert!(ctx
-            .quarantined_jobs()
-            .iter()
-            .any(|f| f.label == "chaos-slow"));
-        let stats = MatrixStats::of(&results);
-        assert_eq!((stats.quarantined, stats.timed_out), (1, 1));
-    }
-
-    #[test]
-    fn cancelled_matrix_drains_without_faults() {
-        let h = tiny_harness();
-        let cfg = GpuConfig::paper_baseline(nuba_types::ArchKind::Nuba);
-        let jobs = vec![
-            Job::new("drain-a", BenchmarkId::Kmeans, cfg.clone()),
-            Job::new("drain-b", BenchmarkId::Kmeans, cfg),
-        ];
-        let ctx = RunnerCtx::new();
-        ctx.cancel_token().cancel();
-        let results = run_matrix_ctx_with(&ctx, &h, &jobs, 2);
-        assert_eq!(results.len(), 2, "pending jobs still report");
-        for r in &results {
-            assert_eq!(r.outcome, JobOutcome::Cancelled);
-            assert!(r.cancelled());
-            assert!(!r.failed(), "cancellation is not a fault");
-            assert!(r.error.is_none());
-            assert_eq!(r.attempts, 0);
-        }
-        assert!(
-            ctx.quarantined_jobs().is_empty(),
-            "drained jobs never quarantine"
-        );
-        assert_eq!(ctx.finish(), 0, "graceful drain exits clean");
-        let stats = MatrixStats::of(&results);
-        assert_eq!((stats.cancelled, stats.quarantined), (2, 0));
-    }
-
-    #[test]
-    fn cancel_token_trips_once() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        assert!(t.cancel(), "first cancel trips");
-        assert!(!t.cancel(), "second cancel is a no-op");
-        assert!(t.is_cancelled());
-        assert!(t.clone().is_cancelled(), "clones share the flag");
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        // Pure function of (base, attempt): probe the schedule via the
-        // same arithmetic backoff_sleep uses, without sleeping.
-        let ms = |base: u64, attempt: u32| -> u64 {
-            let shift = attempt.saturating_sub(1).min(16);
-            base.saturating_mul(1u64 << shift).min(5_000)
-        };
-        assert_eq!(ms(100, 1), 100);
-        assert_eq!(ms(100, 2), 200);
-        assert_eq!(ms(100, 3), 400);
-        assert_eq!(ms(100, 7), 5_000, "capped at 5s");
-        assert_eq!(ms(100, 60), 5_000, "shift saturates");
-    }
-
-    #[test]
     fn event_log_has_monotonic_seq_and_outcomes() {
         let h = tiny_harness();
         let cfg = GpuConfig::paper_baseline(nuba_types::ArchKind::Nuba);
@@ -1563,40 +1040,52 @@ mod tests {
         let results = run_matrix_ctx_with(&ctx, &h, &jobs, 2);
         let log = render_event_log(&results);
         let lines: Vec<&str> = log.lines().collect();
-        // queued + started + outcome per job.
-        assert_eq!(lines.len(), 6, "{log}");
+        // One outcome line per job.
+        assert_eq!(lines.len(), 2, "{log}");
         for (i, l) in lines.iter().enumerate() {
             assert!(l.starts_with(&format!("{{\"seq\":{i},")), "{l}");
+            assert!(l.contains(&format!("\"job_index\":{i}")), "{l}");
             assert!(l.ends_with('}'), "{l}");
+            assert!(!l.contains("attempt"), "{l}");
         }
-        assert!(lines[0].contains("\"event\":\"queued\"") && lines[0].contains("\"ev-ok\""));
-        assert!(lines[1].contains("\"event\":\"started\"") && lines[1].contains("\"attempt\":1"));
-        assert!(lines[2].contains("\"event\":\"ok\"") && lines[2].contains("\"attempts\":1"));
         assert!(
-            lines[5].contains("\"event\":\"failed\"")
-                && lines[5].contains("\"quarantined\":true")
-                && lines[5].contains("injected chaos panic"),
+            lines[0].contains("\"event\":\"ok\"")
+                && lines[0].contains("\"ev-ok\"")
+                && lines[0].contains(&format!("\"cycles\":{}", h.cycles))
+                && !lines[0].contains("quarantined"),
             "{}",
-            lines[5]
+            lines[0]
+        );
+        assert!(
+            lines[1].contains("\"event\":\"failed\"")
+                && lines[1].contains("\"cycles\":0")
+                && lines[1].contains("\"quarantined\":true")
+                && lines[1].contains("injected chaos panic"),
+            "{}",
+            lines[1]
         );
     }
 
     #[test]
-    fn matrix_trace_nests_attempts_under_jobs() {
+    fn matrix_trace_has_one_span_per_job() {
         let h = tiny_harness();
         let cfg = GpuConfig::paper_baseline(nuba_types::ArchKind::Nuba);
         let ctx = RunnerCtx::new();
         let results = run_matrix_ctx_with(
             &ctx,
             &h,
-            &[Job::new("trace-job", BenchmarkId::Kmeans, cfg)],
+            &[
+                Job::new("trace-job", BenchmarkId::Kmeans, cfg.clone()),
+                Job::new("trace-panic", BenchmarkId::Kmeans, cfg).with_injected_panic(),
+            ],
             1,
         );
         let trace = render_matrix_trace(&results);
+        assert_eq!(trace.matches("\"ph\":\"X\"").count(), 2, "{trace}");
+        assert_eq!(trace.matches("\"cat\":\"job\"").count(), 2, "{trace}");
         assert!(trace.contains("\"name\":\"trace-job\""), "{trace}");
-        assert!(trace.contains("\"cat\":\"job\""));
-        assert!(trace.contains("\"name\":\"attempt 1\""));
-        assert!(trace.contains("\"cat\":\"attempt\""));
+        assert!(trace.contains("\"outcome\":\"failed\""), "{trace}");
+        assert!(!trace.contains("attempt"), "{trace}");
         assert!(trace.ends_with("],\"displayTimeUnit\":\"ms\"}\n"));
         assert_eq!(
             render_matrix_trace(&[]),
@@ -1647,25 +1136,30 @@ mod tests {
                 cpu_seconds: 40.5,
                 total_cycles: 420_000,
                 quarantined: 2,
-                cancelled: 1,
-                timed_out: 1,
             },
         };
         let line = rec.to_json_line();
+        assert!(!line.contains("cancelled") && !line.contains("timed_out"));
         let back = RunnerRecord::parse_json_line(&line).expect("parses");
         assert_eq!(back.nuba_jobs, 4);
         assert_eq!(back.stats.jobs, 7);
         assert_eq!(back.stats.total_cycles, 420_000);
-        assert_eq!(back.stats.cancelled, 1);
-        assert_eq!(back.stats.timed_out, 1);
+        assert_eq!(back.stats.quarantined, 2);
         assert!((back.wall_seconds - 12.345).abs() < 1e-9);
 
-        // Records written before lifecycle outcomes parse with zeros.
-        let legacy = "    {\"nuba_jobs\": 2, \"jobs\": 3, \"quarantined\": 0, \
+        // Records written while jobs could be drained or time out carry
+        // `cancelled` / `timed_out`; they still parse, keys ignored.
+        let legacy = "    {\"nuba_jobs\": 2, \"jobs\": 3, \"quarantined\": 1, \
+                      \"cancelled\": 1, \"timed_out\": 1, \
                       \"wall_seconds\": 1.000, \"cpu_seconds\": 2.000, \
                       \"total_cycles\": 100, \"cycles_per_sec\": 100}";
         let old = RunnerRecord::parse_json_line(legacy).expect("legacy parses");
-        assert_eq!((old.stats.cancelled, old.stats.timed_out), (0, 0));
+        assert_eq!((old.nuba_jobs, old.stats.jobs), (2, 3));
+        assert_eq!((old.stats.quarantined, old.stats.total_cycles), (1, 100));
+        // Records written before fault quarantine parse with zero.
+        let older = legacy.replace("\"quarantined\": 1, ", "");
+        let older = RunnerRecord::parse_json_line(&older).expect("older parses");
+        assert_eq!(older.stats.quarantined, 0);
         // Records written when store counters were part of the line
         // still parse: unknown keys are ignored.
         let with_store = line.replace('}', ", \"store_hits\": 5}");
@@ -1686,8 +1180,6 @@ mod tests {
                 cpu_seconds: wall,
                 total_cycles: 1000,
                 quarantined: 0,
-                cancelled: 0,
-                timed_out: 0,
             },
         };
         write_runner_json(path, mk(1, 10.0)).unwrap();

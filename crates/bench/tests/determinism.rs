@@ -189,9 +189,10 @@ fn telemetry_exports_are_byte_identical_across_worker_counts() {
 
 /// The harness-level observability artifacts join the determinism
 /// contract: the structured event log and the Prometheus metrics dump
-/// rendered from the same matrix must be byte-identical at 1 and 4
-/// workers. (The matrix Chrome trace is the one wall-clock-exempt
-/// artifact and is deliberately NOT compared here — DESIGN.md §16.)
+/// rendered from the same matrix — healthy jobs and a quarantined one —
+/// must be byte-identical at 1 and 4 workers. (The matrix Chrome trace
+/// is the one wall-clock-exempt artifact and is deliberately NOT
+/// compared here — DESIGN.md §16.)
 #[test]
 fn event_log_and_metrics_are_byte_identical_across_worker_counts() {
     let h = harness();
@@ -205,6 +206,7 @@ fn event_log_and_metrics_are_byte_identical_across_worker_counts() {
     let jobs = vec![
         Job::new("a", BenchmarkId::Kmeans, with_telemetry(nuba.clone())),
         Job::new("b", BenchmarkId::Sgemm, with_telemetry(nuba.clone())),
+        Job::new("panic", BenchmarkId::Sgemm, nuba.clone()).with_injected_panic(),
         Job::new("c", BenchmarkId::Kmeans, with_telemetry(nuba).with_seed(7)),
     ];
     let serial = run_matrix_with(&h, &jobs, 1);
@@ -216,13 +218,20 @@ fn event_log_and_metrics_are_byte_identical_across_worker_counts() {
         nuba_bench::runner::render_event_log(&parallel),
         "event log diverged between serial and parallel execution"
     );
-    // One JSON object per line, sequence numbers strictly monotonic
+    // One JSON object per job, sequence numbers strictly monotonic
     // from zero, and no wall-clock fields anywhere.
-    for (i, line) in events.lines().enumerate() {
+    let lines: Vec<&str> = events.lines().collect();
+    assert_eq!(lines.len(), jobs.len(), "{events}");
+    for (i, line) in lines.iter().enumerate() {
         assert!(line.starts_with(&format!("{{\"seq\":{i},")), "{line}");
         assert!(line.ends_with('}'), "{line}");
         assert!(!line.contains("secs"), "wall clock leaked: {line}");
     }
+    assert!(
+        lines[2].contains("\"event\":\"failed\"") && lines[2].contains("\"quarantined\":true"),
+        "{}",
+        lines[2]
+    );
 
     let prom = nuba_bench::runner::build_matrix_registry(&serial).render_prometheus();
     assert_eq!(
@@ -231,7 +240,8 @@ fn event_log_and_metrics_are_byte_identical_across_worker_counts() {
         "Prometheus dump diverged between serial and parallel execution"
     );
     assert!(prom.contains("# TYPE nuba_read_latency_cycles_local histogram"));
-    assert!(prom.contains("nuba_jobs_total 3"));
+    assert!(prom.contains("nuba_jobs_total 4\n"), "{prom}");
+    assert!(prom.contains("nuba_jobs_quarantined_total 1\n"), "{prom}");
 }
 
 /// Latency histograms are fed only at reply delivery, so the
