@@ -401,7 +401,7 @@ fn capture_trace(a: &Args, bench: BenchmarkId, path: &str) {
         ScaleProfile::default()
     };
     let wl = Workload::build(bench, scale, cfg.num_sms, a.seed);
-    let warps = cfg.sim_active_warps.min(cfg.warps_per_sm);
+    let warps = cfg.active_warps();
     // Record roughly as many ops as the timed window would consume.
     let ops = (a.cycles as usize / 4).clamp(256, 65_536);
     let trace = nuba_workloads::Trace::capture(&wl, warps, ops);

@@ -457,10 +457,7 @@ fn warm_trace(ctx: &RunnerCtx, bench: BenchmarkId, cfg: &GpuConfig, wl: &Workloa
     let mut id = StateWriter::new();
     wl.state_hash().put(&mut id);
     cfg.num_sms.put(&mut id);
-    cfg.sim_active_warps
-        .min(cfg.warps_per_sm)
-        .max(1)
-        .put(&mut id);
+    cfg.active_warps().put(&mut id);
     cfg.page_bytes.put(&mut id);
     let key = StoreKey {
         bench,

@@ -176,7 +176,7 @@ impl GpuSimulator {
             cfg.num_sms,
         );
 
-        let active_warps = cfg.sim_active_warps.min(cfg.warps_per_sm).max(1);
+        let active_warps = cfg.active_warps();
         let sm_params = SmParams {
             warps: active_warps,
             warp_mlp: 8,

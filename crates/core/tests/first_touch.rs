@@ -4,14 +4,28 @@
 //! configurations, leaves that configuration's driver exactly as
 //! `warm` does. This is what lets the runner share one warm-state entry
 //! across every configuration of a benchmark.
+//!
+//! [`first_touches`] walks its warps on several threads and merges; an
+//! independent one-thread reference walk pins its output on every
+//! benchmark and on the edge shapes of the wave stagger. The invariant
+//! registry is process-global, so every test here serializes on one
+//! lock.
 
-use nuba_core::{first_touches, GpuSimulator};
+use std::sync::{Mutex, MutexGuard};
+
+use nuba_core::{default_warm_accesses, first_touches, GpuSimulator};
 use nuba_types::addr::PageNum;
 use nuba_types::state::{SaveState, StateWriter};
-use nuba_types::{ArchKind, GpuConfig, PagePolicyKind, ReplicationKind, SmId, WarpId};
+use nuba_types::{invariant, ArchKind, GpuConfig, PagePolicyKind, ReplicationKind, SmId, WarpId};
 use nuba_workloads::{BenchmarkId, ScaleProfile, WarpOp, Workload};
 
 const DEPTH: usize = 256;
+
+static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The simcheck architecture matrix: both UBA baselines plus NUBA with
 /// every replication × page-policy combination.
@@ -91,6 +105,7 @@ fn built(cfg: &GpuConfig, wl: &Workload) -> GpuSimulator {
 
 #[test]
 fn one_trace_warms_every_configuration() {
+    let _guard = lock();
     for bench in [BenchmarkId::Lbm, BenchmarkId::Bicg, BenchmarkId::Kmeans] {
         let uba = GpuConfig::paper_baseline(ArchKind::MemSideUba);
         let wl = Workload::build(bench, ScaleProfile::fast(), uba.num_sms, uba.seed);
@@ -127,4 +142,81 @@ fn one_trace_warms_every_configuration() {
             "{bench}: no configuration's driver can tell a wave-free trace apart"
         );
     }
+}
+
+#[test]
+fn trace_matches_the_reference_walk_on_every_benchmark() {
+    let _guard = lock();
+    let cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
+    for &bench in BenchmarkId::ALL {
+        let wl = Workload::build(bench, ScaleProfile::fast(), cfg.num_sms, cfg.seed);
+        let depth = default_warm_accesses(&cfg, &wl);
+        assert_eq!(
+            first_touches(&cfg, &wl, depth),
+            reference_touches(&cfg, &wl, depth, true),
+            "{bench}: first_touches walks differently from the reference"
+        );
+    }
+}
+
+/// One SM with one warp: a single stream, walked without a worker.
+#[test]
+fn one_warp_on_one_sm_matches_the_reference() {
+    let _guard = lock();
+    let cfg = GpuConfig::paper_baseline(ArchKind::Nuba)
+        .scaled(1.0 / 64.0)
+        .with_active_warps(1);
+    assert_eq!((cfg.num_sms, cfg.active_warps()), (1, 1));
+    for bench in [BenchmarkId::BTree, BenchmarkId::Lbm, BenchmarkId::Kmeans] {
+        let wl = Workload::build(bench, ScaleProfile::fast(), cfg.num_sms, cfg.seed);
+        let trace = first_touches(&cfg, &wl, DEPTH);
+        assert!(!trace.is_empty(), "{bench}: the walk touched nothing");
+        assert_eq!(
+            trace,
+            reference_touches(&cfg, &wl, DEPTH, true),
+            "{bench}: one-stream walk differs from the reference"
+        );
+    }
+}
+
+/// Depth 1: only SMs 0 and 1 start before the walk ends, so every other
+/// SM's streams touch nothing and the trace names no SM above 1.
+#[test]
+fn depth_one_touches_only_from_the_first_wave() {
+    let _guard = lock();
+    let cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
+    for bench in [BenchmarkId::Lbm, BenchmarkId::Bicg, BenchmarkId::Kmeans] {
+        let wl = Workload::build(bench, ScaleProfile::fast(), cfg.num_sms, cfg.seed);
+        let trace = first_touches(&cfg, &wl, 1);
+        assert!(!trace.is_empty(), "{bench}: the walk touched nothing");
+        assert!(
+            trace.iter().all(|&(_, sm)| sm.0 < 2),
+            "{bench}: an SM outside the first wave touched a page at depth 1"
+        );
+        assert_eq!(
+            trace,
+            reference_touches(&cfg, &wl, 1, true),
+            "{bench}: depth-1 walk differs from the reference"
+        );
+    }
+}
+
+/// The walk runs on several threads, and an invariant site's tally is
+/// exact on one thread only: a site reached from the stream generator
+/// would make checkpoints' invariant snapshots depend on the host.
+#[test]
+fn the_walk_reaches_no_invariant_site() {
+    let _guard = lock();
+    let cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
+    invariant::reset();
+    for bench in [BenchmarkId::Lbm, BenchmarkId::Bicg, BenchmarkId::Kmeans] {
+        let wl = Workload::build(bench, ScaleProfile::fast(), cfg.num_sms, cfg.seed);
+        first_touches(&cfg, &wl, DEPTH);
+    }
+    let counted: Vec<_> = invariant::report()
+        .into_iter()
+        .filter(|site| site.checks > 0)
+        .map(|site| site.name)
+        .collect();
+    assert!(counted.is_empty(), "the walk checked {counted:?}");
 }

@@ -862,6 +862,13 @@ impl GpuConfig {
         self.num_llc_slices / self.num_partitions()
     }
 
+    /// Warps the simulator models per SM: `sim_active_warps` clamped to
+    /// `warps_per_sm`, and at least one. The SMs, the warm-up walk and
+    /// the runner's warm-trace key all read this one number.
+    pub fn active_warps(&self) -> usize {
+        self.sim_active_warps.min(self.warps_per_sm).max(1)
+    }
+
     /// LLC slices per memory channel (2 in the baseline).
     pub fn slices_per_channel(&self) -> usize {
         self.num_llc_slices / self.num_channels
@@ -949,7 +956,7 @@ impl GpuConfig {
             return err("warp counts must be non-zero");
         }
         // sim_active_warps above warps_per_sm is tolerated: every
-        // consumer clamps it (`sim_active_warps.min(warps_per_sm)`).
+        // consumer clamps it (`active_warps`).
         if self.sm_max_outstanding == 0 {
             return err("sm_max_outstanding must be non-zero (the SM could never issue)");
         }

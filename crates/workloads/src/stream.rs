@@ -84,6 +84,9 @@ impl WarpStream {
     }
 
     /// Produce the next warp operation.
+    ///
+    /// Reaches no invariant site: the warm-up walk calls this on several
+    /// threads at once, and a site's tally is exact on one thread only.
     pub fn next_op(&mut self) -> WarpOp {
         match &mut self.inner {
             Inner::Synthetic(s) => s.next_op(),
@@ -346,9 +349,8 @@ fn sets_snapshot(sets: &crate::layout::AccessSets) -> (usize, usize, usize) {
 /// would thrash the TLB in a way no tiled kernel does), plus a small
 /// uniform spill. Windows are offset per SM — different CTAs work on
 /// different tiles, so SMs do not all camp on the same shared pages at
-/// the same instant.
+/// the same instant. `len` must be non-zero: `gen_range(0..0)` panics.
 fn windowed_pick(rng: &mut SmallRng, seq: u64, sm: usize, len: usize) -> usize {
-    nuba_types::invariant!("stream_window_nonempty", len > 0);
     let w = len.min(128);
     if w == len || rng.gen::<f64>() < 0.02 {
         return rng.gen_range(0..len);

@@ -151,8 +151,8 @@ impl Trace {
     /// Deserialize from a reader.
     ///
     /// # Errors
-    /// Returns `InvalidData` for a bad magic/tag, or propagates I/O
-    /// errors.
+    /// Returns `InvalidData` for a bad magic/tag or an access outside
+    /// the header's `total_pages`, or propagates I/O errors.
     pub fn read_from<R: Read>(mut r: R) -> io::Result<Trace> {
         fn bad(msg: &str) -> io::Error {
             io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
@@ -187,6 +187,10 @@ impl Trace {
                     0x01 => {
                         r.read_exact(&mut b8)?;
                         let vaddr = u64::from_le_bytes(b8);
+                        // Warm-up keeps one slot per page of the span.
+                        if vaddr / page_bytes >= total_pages {
+                            return Err(bad("access beyond the trace's page span"));
+                        }
                         let mut kb = [0u8; 2];
                         r.read_exact(&mut kb)?;
                         let kind = match kb[0] {
@@ -262,6 +266,18 @@ mod tests {
         t.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(Trace::read_from(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn access_beyond_the_page_span_is_an_error() {
+        let t = sample_trace();
+        let mut buf = Vec::new();
+        t.write_to(&mut buf).unwrap();
+        // Header: magic, two u32 counts, page_bytes, then total_pages.
+        let at = 8 + 4 + 4 + 8;
+        buf[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+        let err = Trace::read_from(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
