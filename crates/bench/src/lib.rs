@@ -70,12 +70,6 @@ pub struct HarnessOptions {
     /// the runner executes it. Inert — and byte-identical output — when
     /// off.
     pub screen: bool,
-    /// `NUBA_NO_SKIP=1`: force the cycle-by-cycle stepping loop instead
-    /// of event-driven time skipping. Results are byte-identical either
-    /// way; this is a perf escape hatch / A-B knob. The simulator core
-    /// reads the variable itself — this field just snapshots it for
-    /// display and run manifests.
-    pub no_skip: bool,
     /// `NUBA_STORE_DIR=<path>`: directory of on-disk first-touch
     /// traces (see [`store`]). Unset keeps them in memory only, with
     /// byte-identical results.
@@ -101,10 +95,10 @@ pub struct HarnessOptions {
 }
 
 /// Every `NUBA_*` variable something in the workspace reads: the
-/// [`HarnessOptions`] knobs, `NUBA_NO_SKIP` (read by the simulator core)
-/// and `NUBA_CORRELATION` (read by `fig_correlation`). Any other
-/// `NUBA_*` variable in the environment draws a warning.
-const KNOWN: [&str; 17] = [
+/// [`HarnessOptions`] knobs and `NUBA_CORRELATION` (read by
+/// `fig_correlation`). No simulator crate reads the environment. Any
+/// other `NUBA_*` variable in the environment draws a warning.
+const KNOWN: [&str; 16] = [
     "NUBA_CHAOS",
     "NUBA_CORRELATION",
     "NUBA_CYCLES",
@@ -114,7 +108,6 @@ const KNOWN: [&str; 17] = [
     "NUBA_JOBS",
     "NUBA_MATRIX_TRACE",
     "NUBA_METRICS",
-    "NUBA_NO_SKIP",
     "NUBA_PAE",
     "NUBA_SCREEN",
     "NUBA_SIMCHECK_CYCLES",
@@ -173,7 +166,6 @@ impl HarnessOptions {
             pae: flag("NUBA_PAE"),
             simcheck_cycles: number(&var, "NUBA_SIMCHECK_CYCLES")?.unwrap_or(8192),
             screen: flag("NUBA_SCREEN"),
-            no_skip: flag("NUBA_NO_SKIP"),
             store_dir: var("NUBA_STORE_DIR"),
             metrics: var("NUBA_METRICS"),
             events: var("NUBA_EVENTS"),
@@ -242,21 +234,13 @@ impl Harness {
         cfg
     }
 
-    /// Run one (benchmark, configuration) pair: build the workload and
-    /// a [`SimSession`], warm it, simulate the timed window.
+    /// Run one (benchmark, configuration) pair at `scale`: build the
+    /// workload and a [`SimSession`], warm it, simulate the timed
+    /// window. The runner's jobs must report exactly this.
     ///
     /// # Errors
     /// [`SimError::InvalidConfig`] on a bad configuration,
     /// [`SimError::NoForwardProgress`] if the watchdog fires.
-    pub fn try_run(&self, bench: BenchmarkId, cfg: GpuConfig) -> Result<SimReport, SimError> {
-        self.try_run_scaled(bench, cfg, self.scale)
-    }
-
-    /// [`try_run`](Harness::try_run) with a scale override (page-size
-    /// sensitivity).
-    ///
-    /// # Errors
-    /// Same contract as [`try_run`](Harness::try_run).
     pub fn try_run_scaled(
         &self,
         bench: BenchmarkId,
@@ -268,27 +252,6 @@ impl Harness {
         let mut session = SimSession::builder(cfg, wl).build()?;
         session.warm();
         session.run_window(self.cycles)
-    }
-
-    /// Run one (benchmark, configuration) pair, panicking on failure.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or the watchdog detects a
-    /// deadlock — one-off harness runs want the loud failure; matrix
-    /// sweeps go through [`runner`], which quarantines instead, and
-    /// fallible callers use [`try_run`](Harness::try_run).
-    pub fn run(&self, bench: BenchmarkId, cfg: GpuConfig) -> SimReport {
-        self.try_run(bench, cfg).expect("forward progress")
-    }
-
-    /// Run with a scale override (page-size sensitivity).
-    ///
-    /// # Panics
-    /// Panics on invalid configuration or watchdog deadlock, like
-    /// [`run`](Harness::run).
-    pub fn run_scaled(&self, bench: BenchmarkId, cfg: GpuConfig, scale: ScaleProfile) -> SimReport {
-        self.try_run_scaled(bench, cfg, scale)
-            .expect("forward progress")
     }
 }
 
@@ -553,7 +516,10 @@ mod tests {
             "NUBA_CYCLE",
             "NUBA_CORRELATION",
         ];
-        assert_eq!(unknown_knobs(vars), ["NUBA_CYCLE", "NUBA_FIDELITY"]);
+        assert_eq!(
+            unknown_knobs(vars),
+            ["NUBA_CYCLE", "NUBA_FIDELITY", "NUBA_NO_SKIP"]
+        );
     }
 
     /// The README's "Environment knobs" table lists exactly [`KNOWN`]:

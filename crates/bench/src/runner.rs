@@ -8,11 +8,13 @@
 //! order, so callers print byte-identical output to a serial loop.
 //!
 //! Determinism: each job builds its own [`Workload`] and
-//! [`GpuSimulator`] from the job's seed — no state is shared between
-//! jobs, so the schedule cannot leak into the simulation. The only
-//! process-global state the simulator touches is the invariant counter
-//! registry (`nuba_types::invariant`), which uses relaxed atomics and
-//! only ever *counts* under the pool.
+//! [`GpuSimulator`] from the job's seed. The one thing jobs share is
+//! the warm-trace cache: a workload's first-touch trace is a pure
+//! function of its cache key, so whichever job records it first, every
+//! job replays the same bytes and the schedule cannot leak into the
+//! simulation. The only process-global state the simulator touches is
+//! the invariant counter registry (`nuba_types::invariant`), which uses
+//! relaxed atomics and only ever *counts* under the pool.
 //!
 //! Shared runner state — the warm-trace cache, the quarantine registry
 //! and the optional on-disk [trace store](crate::store) — lives in an
@@ -93,7 +95,8 @@ impl Job {
         }
     }
 
-    /// Override the workload scale (mirrors [`Harness::run_scaled`]).
+    /// Override the workload scale (page-size sensitivity, variance
+    /// runs).
     #[must_use]
     pub fn with_scale(mut self, scale: ScaleProfile) -> Job {
         self.scale = Some(scale);
@@ -548,9 +551,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Execute one job exactly as [`Harness::run`] / [`Harness::run_scaled`]
-/// would, timing it. A panic or [`SimError`] is caught and quarantines
-/// the job instead of taking the matrix down.
+/// Execute one job exactly as [`Harness::try_run_scaled`] would, timing
+/// it. A panic or [`SimError`] is caught and quarantines the job instead
+/// of taking the matrix down.
 fn run_job(ctx: &RunnerCtx, h: &Harness, job: &Job, matrix_start: Instant) -> JobResult {
     let start = Instant::now();
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_job(ctx, h, job)));

@@ -244,39 +244,6 @@ fn event_log_and_metrics_are_byte_identical_across_worker_counts() {
     assert!(prom.contains("nuba_jobs_quarantined_total 1\n"), "{prom}");
 }
 
-/// Latency histograms are fed only at reply delivery, so the
-/// event-driven time-skipping loop must reproduce the stepped run's
-/// per-tier and per-stage distributions exactly.
-#[test]
-fn latency_histograms_identical_skip_vs_step() {
-    use nuba_core::GpuSimulator;
-    use nuba_workloads::Workload;
-
-    let mut cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
-    cfg.telemetry.window_cycles = Some(250);
-    cfg.telemetry.trace_sample_period = 32;
-    cfg.telemetry.window_latency = true;
-    let wl = Workload::build(BenchmarkId::Kmeans, ScaleProfile::fast(), cfg.num_sms, 42);
-
-    let run = |skip: bool| {
-        let mut gpu = GpuSimulator::try_new(cfg.clone(), &wl).expect("valid config");
-        gpu.warm(&wl, 256);
-        gpu.set_skip(skip);
-        gpu.advance(1500).expect("forward progress");
-        gpu.report().latency
-    };
-    let stepped = run(false);
-    let skipped = run(true);
-    assert_eq!(
-        stepped, skipped,
-        "latency histograms diverged between stepping and skipping"
-    );
-    assert!(
-        stepped.overall().count() > 0,
-        "no read latencies were recorded"
-    );
-}
-
 #[test]
 fn matrix_reports_throughput_per_job() {
     let h = harness();

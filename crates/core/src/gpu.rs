@@ -62,15 +62,6 @@ struct McState {
     next_id: u64,
 }
 
-/// Whether new simulators use event-driven time skipping. On by
-/// default; `NUBA_NO_SKIP=1` restores unconditional per-cycle stepping
-/// (the escape hatch for A/B-ing the two paths). Read once — the
-/// environment is sampled at first simulator construction.
-fn skip_by_default() -> bool {
-    static NO_SKIP: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    !*NO_SKIP.get_or_init(|| std::env::var("NUBA_NO_SKIP").is_ok_and(|v| v == "1"))
-}
-
 /// The assembled GPU.
 pub struct GpuSimulator {
     cfg: GpuConfig,
@@ -100,9 +91,6 @@ pub struct GpuSimulator {
     tracker: Option<PageAccessTracker>,
     // Fault injection: compiled schedule drained at the top of step().
     faults: Option<FaultSchedule>,
-    // Event-driven time skipping (config, not saved state): `run`
-    // jumps over provably-idle spans instead of stepping them.
-    skip: bool,
     // Cycles actually executed by `step()` as opposed to skipped
     // (bookkeeping, not saved state and not part of any report
     // equality).
@@ -363,7 +351,6 @@ impl GpuSimulator {
                 .collect(),
             tracker,
             faults: None,
-            skip: skip_by_default(),
             detail_steps: 0,
             watchdog_budget: cfg.watchdog_cycles,
             last_progress_cycle: 0,
@@ -423,15 +410,6 @@ impl GpuSimulator {
         self.watchdog_budget = budget;
     }
 
-    /// Override the event-driven time-skipping default (on unless
-    /// `NUBA_NO_SKIP=1`): with skipping enabled, [`run`](Self::run)
-    /// jumps over provably-idle spans in O(1) instead of stepping them
-    /// cycle by cycle. Results are byte-identical either way; this is
-    /// an A/B switch, not a fidelity knob.
-    pub fn set_skip(&mut self, skip: bool) {
-        self.skip = skip;
-    }
-
     /// Cycles actually executed by [`step`](Self::step) so far. With
     /// time skipping this is below the clock: skipped spans are exact,
     /// not approximated, so the gap measures how much of the window the
@@ -443,9 +421,9 @@ impl GpuSimulator {
 
     /// Run for `cycles` cycles and report.
     ///
-    /// Uses event-driven time skipping unless disabled via
-    /// [`set_skip`](Self::set_skip) or `NUBA_NO_SKIP=1`; both paths
-    /// produce byte-identical results.
+    /// Jumps over provably-idle spans instead of stepping them; the
+    /// result is byte-identical to calling [`step`](Self::step)
+    /// `cycles` times.
     ///
     /// # Errors
     /// Returns [`SimError::NoForwardProgress`] if the watchdog fires —
@@ -455,48 +433,6 @@ impl GpuSimulator {
     pub fn run(&mut self, cycles: u64) -> Result<SimReport, SimError> {
         self.advance(cycles)?;
         Ok(self.report())
-    }
-
-    /// Run for `cycles` cycles with unconditional per-cycle stepping,
-    /// regardless of the skip setting.
-    ///
-    /// # Errors
-    /// Same as [`run`](Self::run).
-    pub fn run_stepping(&mut self, cycles: u64) -> Result<SimReport, SimError> {
-        self.advance_stepping(cycles)?;
-        Ok(self.report())
-    }
-
-    /// Run for `cycles` cycles with event-driven time skipping,
-    /// regardless of the skip setting.
-    ///
-    /// # Errors
-    /// Same as [`run`](Self::run).
-    pub fn run_skipping(&mut self, cycles: u64) -> Result<SimReport, SimError> {
-        self.advance_skipping(cycles)?;
-        Ok(self.report())
-    }
-
-    /// Advance `cycles` cycles without building a report (the
-    /// allocation-free core of [`run`](Self::run)); honors the skip
-    /// setting.
-    ///
-    /// # Errors
-    /// Same as [`run`](Self::run).
-    pub fn advance(&mut self, cycles: u64) -> Result<(), SimError> {
-        if self.skip {
-            self.advance_skipping(cycles)
-        } else {
-            self.advance_stepping(cycles)
-        }
-    }
-
-    fn advance_stepping(&mut self, cycles: u64) -> Result<(), SimError> {
-        for _ in 0..cycles {
-            self.step();
-            self.check_forward_progress()?;
-        }
-        Ok(())
     }
 
     /// The time-skipping run loop: step through busy cycles, jump over
@@ -510,7 +446,7 @@ impl GpuSimulator {
     /// the span — telemetry window flushes, watchdog checks, round-robin
     /// pointer rotation, warp-scan bookkeeping — are replayed exactly
     /// before or at the landing cycle.
-    fn advance_skipping(&mut self, cycles: u64) -> Result<(), SimError> {
+    fn advance(&mut self, cycles: u64) -> Result<(), SimError> {
         // Poll backoff: on a busy machine the jump-decision scan below
         // costs a few percent per cycle and never finds a jump. After a
         // busy cycle, step without polling for a geometrically growing
@@ -525,8 +461,7 @@ impl GpuSimulator {
         while self.cycle < end {
             if poll_in > 0 {
                 poll_in -= 1;
-                self.step();
-                self.check_forward_progress()?;
+                self.step()?;
                 continue;
             }
             let now = self.cycle;
@@ -537,8 +472,7 @@ impl GpuSimulator {
                 .kernel_boundary_cycles
                 .is_some_and(|k| now > 0 && now.is_multiple_of(k));
             if component == Some(now) || fault_edge.is_some_and(|t| t <= now) || kernel_flush_due {
-                self.step();
-                self.check_forward_progress()?;
+                self.step()?;
                 poll_in = streak;
                 streak = (streak * 2).min(POLL_CAP);
                 continue;
@@ -584,8 +518,7 @@ impl GpuSimulator {
                 // Degenerate (e.g. the watchdog budget is already
                 // exhausted when skipping starts): take a real step so
                 // errors fire exactly as under stepping.
-                self.step();
-                self.check_forward_progress()?;
+                self.step()?;
                 continue;
             }
 
@@ -808,27 +741,13 @@ impl GpuSimulator {
         }
     }
 
-    /// Convenience: warm up, then run the timed window.
+    /// Advance one cycle, then run the forward-progress check. A loop of
+    /// `step` calls is the reference [`run`](GpuSimulator::run) must
+    /// match byte for byte.
     ///
     /// # Errors
-    /// Returns [`SimError::NoForwardProgress`] if the watchdog fires
-    /// during the timed window (see [`run`](GpuSimulator::run)).
-    pub fn warm_and_run(
-        &mut self,
-        workload: &Workload,
-        cycles: u64,
-    ) -> Result<SimReport, SimError> {
-        let per_warp = crate::session::default_warm_accesses(&self.cfg, workload);
-        self.warm(workload, per_warp);
-        self.run(cycles)
-    }
-
-    /// Advance one cycle.
-    ///
-    /// Single-stepping bypasses the watchdog (it lives in
-    /// [`run`](GpuSimulator::run)); installed fault-plan edges still
-    /// fire at their scheduled cycles.
-    pub fn step(&mut self) {
+    /// Same as [`run`](GpuSimulator::run).
+    pub fn step(&mut self) -> Result<(), SimError> {
         let c = self.cycle;
 
         // Fire due fault edges before any component ticks, so a fault
@@ -898,6 +817,7 @@ impl GpuSimulator {
 
         self.detail_steps += 1;
         self.cycle += 1;
+        self.check_forward_progress()
     }
 
     /// Snapshot the cumulative machine counters and high-water gauges,

@@ -531,8 +531,9 @@ impl SimSession {
         &self.gpu
     }
 
-    /// Mutable access to the underlying simulator (fault plans,
-    /// watchdog budget, manual stepping).
+    /// Mutable access to the underlying simulator: fault plans, the
+    /// watchdog budget, and [`step`](GpuSimulator::step), the per-cycle
+    /// reference the run loop is checked against.
     pub fn gpu_mut(&mut self) -> &mut GpuSimulator {
         &mut self.gpu
     }

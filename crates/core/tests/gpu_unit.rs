@@ -1,7 +1,7 @@
 //! Targeted GPU-simulator unit tests on tiny machines: kernel-boundary
 //! flushes, latency accounting, and report consistency.
 
-use nuba_core::GpuSimulator;
+use nuba_core::{GpuSimulator, SimSession};
 use nuba_types::{ArchKind, GpuConfig, ReplicationKind};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
 
@@ -16,11 +16,12 @@ fn tiny(arch: ArchKind) -> GpuConfig {
     cfg
 }
 
-fn run(cfg: GpuConfig, bench: BenchmarkId, cycles: u64) -> (GpuSimulator, nuba_core::SimReport) {
+fn run(cfg: GpuConfig, bench: BenchmarkId, cycles: u64) -> (SimSession, nuba_core::SimReport) {
     let wl = Workload::build(bench, ScaleProfile::fast(), cfg.num_sms, 5);
-    let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-    let r = gpu.warm_and_run(&wl, cycles).expect("forward progress");
-    (gpu, r)
+    let mut session = SimSession::builder(cfg, wl).build().expect("valid config");
+    session.warm();
+    let r = session.run_window(cycles).expect("forward progress");
+    (session, r)
 }
 
 #[test]
@@ -82,8 +83,8 @@ fn latency_insensitivity_of_throughput() {
 
 #[test]
 fn slice_totals_match_report() {
-    let (gpu, r) = run(tiny(ArchKind::Nuba), BenchmarkId::Sgemm, 8_000);
-    let (hits, accesses, _rhits, rfills, _fwd) = gpu.slice_totals();
+    let (session, r) = run(tiny(ArchKind::Nuba), BenchmarkId::Sgemm, 8_000);
+    let (hits, accesses, _rhits, rfills, _fwd) = session.gpu().slice_totals();
     assert_eq!(hits, r.llc_hits);
     assert_eq!(accesses, r.llc_accesses);
     assert_eq!(rfills, r.replica_fills);

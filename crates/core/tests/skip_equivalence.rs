@@ -1,10 +1,11 @@
 //! Event-driven time skipping is an *optimization*, not a model change:
-//! [`GpuSimulator::run_skipping`] must be byte-identical to
-//! [`GpuSimulator::run_stepping`] — same [`SimReport`], same telemetry
-//! windows and trace records, same invariant-registry snapshot, and the
-//! same checkpoint bytes — across the whole simcheck architecture
-//! matrix, with and without fault injection, including checkpoints
-//! taken at cycles a skipping run would normally jump straight over.
+//! [`GpuSimulator::run`] must be byte-identical to a loop of
+//! [`GpuSimulator::step`] calls — same [`SimReport`], same telemetry
+//! windows (per-window latency percentiles included) and trace records,
+//! same invariant-registry snapshot, and the same checkpoint bytes —
+//! across the whole simcheck architecture matrix, with and without
+//! fault injection, including checkpoints taken at cycles a skipping
+//! run would normally jump straight over.
 //!
 //! The invariant registry is process-global, so every test here
 //! serializes on one lock; the file is its own test binary, keeping
@@ -12,7 +13,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use nuba_core::{GpuSimulator, SimSession};
+use nuba_core::{GpuSimulator, SimError, SimSession};
 use nuba_engine::FaultPlan;
 use nuba_types::{invariant, ArchKind, GpuConfig, PagePolicyKind, ReplicationKind};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
@@ -26,6 +27,9 @@ fn lock() -> MutexGuard<'static, ()> {
 /// The simcheck architecture matrix (both UBA baselines plus NUBA with
 /// every replication × page-policy combination), with both telemetry
 /// pillars enabled so windows and traces are part of the comparison.
+/// Each configuration runs twice: at full occupancy the machine stays
+/// busy and `run` steps nearly every cycle; at one warp per SM it idles
+/// through memory round-trips and `run` jumps.
 fn simcheck_configs() -> Vec<(String, GpuConfig)> {
     let mut out = vec![
         (
@@ -56,7 +60,13 @@ fn simcheck_configs() -> Vec<(String, GpuConfig)> {
     for (_, cfg) in &mut out {
         cfg.telemetry.window_cycles = Some(256);
         cfg.telemetry.trace_sample_period = 64;
+        cfg.telemetry.window_latency = true;
     }
+    let one_warp: Vec<_> = out
+        .iter()
+        .map(|(name, cfg)| (format!("{name}/1-warp"), cfg.clone().with_active_warps(1)))
+        .collect();
+    out.extend(one_warp);
     out
 }
 
@@ -119,8 +129,13 @@ fn assert_images_match(name: &str, stepped: &RunImage, skipped: &RunImage) {
     );
 }
 
-/// Run a config under one mode (`skip`), warm first, with an optional
-/// fault plan installed before the timed window.
+/// The stepped reference: `cycles` calls of [`GpuSimulator::step`].
+fn step_n(gpu: &mut GpuSimulator, cycles: u64) -> Result<(), SimError> {
+    (0..cycles).try_for_each(|_| gpu.step())
+}
+
+/// Run a config through `run` (`skip`) or the stepped reference, warm
+/// first, with an optional fault plan installed before the timed window.
 fn run_mode(
     cfg: &GpuConfig,
     wl: &Workload,
@@ -135,9 +150,9 @@ fn run_mode(
         gpu.set_fault_plan(plan);
     }
     if skip {
-        gpu.run_skipping(cycles).expect("forward progress");
+        gpu.run(cycles).expect("forward progress");
     } else {
-        gpu.run_stepping(cycles).expect("forward progress");
+        step_n(&mut gpu, cycles).expect("forward progress");
     }
     image(&gpu, wl)
 }
@@ -198,9 +213,9 @@ fn watchdog_fires_identically_under_skipping() {
         gpu.set_fault_plan(&plan);
         gpu.set_watchdog(Some(800));
         let err = if skip {
-            gpu.run_skipping(10_000)
+            gpu.run(10_000).map(drop)
         } else {
-            gpu.run_stepping(10_000)
+            step_n(&mut gpu, 10_000)
         }
         .expect_err("starved machine must trip the watchdog");
         (gpu.cycle(), format!("{err:?}"))
@@ -214,8 +229,7 @@ fn watchdog_fires_identically_under_skipping() {
 /// A checkpoint taken mid-run under skipping — at a cycle the skipper
 /// may only reach as an artificial run-end cap, never a real event —
 /// matches the stepped checkpoint at the same cycle byte for byte, and
-/// resuming from it (under either mode) converges on the stepped
-/// reference.
+/// resuming from it converges on the stepped reference.
 #[test]
 fn mid_skip_checkpoints_resume_identically() {
     let _guard = lock();
@@ -227,6 +241,7 @@ fn mid_skip_checkpoints_resume_identically() {
             .with_policy(PagePolicyKind::lab_default());
         cfg.telemetry.window_cycles = Some(256);
         cfg.telemetry.trace_sample_period = 64;
+        cfg.telemetry.window_latency = true;
         cfg
     };
     let wl = workload_for(&cfg);
@@ -238,7 +253,7 @@ fn mid_skip_checkpoints_resume_identically() {
     invariant::reset();
     let mut gpu = GpuSimulator::try_new(cfg.clone(), &wl).expect("valid config");
     gpu.warm(&wl, 256);
-    gpu.run_stepping(FIRST).expect("forward progress");
+    step_n(&mut gpu, FIRST).expect("forward progress");
     let stepped_ckpt = gpu.checkpoint(&wl).to_bytes();
     drop(gpu);
 
@@ -246,7 +261,7 @@ fn mid_skip_checkpoints_resume_identically() {
     invariant::reset();
     let mut gpu = GpuSimulator::try_new(cfg.clone(), &wl).expect("valid config");
     gpu.warm(&wl, 256);
-    gpu.run_skipping(FIRST).expect("forward progress");
+    gpu.run(FIRST).expect("forward progress");
     let ckpt = gpu.checkpoint(&wl);
     assert_eq!(
         ckpt.to_bytes(),
@@ -256,13 +271,13 @@ fn mid_skip_checkpoints_resume_identically() {
     drop(gpu);
 
     // Resume through the session API (round-tripping the bytes) and
-    // finish under skipping: byte-identical to the stepped reference.
+    // finish through `run_window`: byte-identical to the stepped
+    // reference.
     let ckpt = nuba_core::Checkpoint::from_bytes(&ckpt.to_bytes()).expect("round-trip");
     invariant::reset();
     ckpt.seed_invariants();
     let mut session = SimSession::resume(&ckpt, wl.clone()).expect("resume");
     assert_eq!(session.cycle(), FIRST, "resumed at wrong cycle");
-    session.gpu_mut().set_skip(true);
     session.run_window(SECOND).expect("forward progress");
     let continued = image(session.gpu(), &wl);
     assert_images_match("mid-skip resume", &reference, &continued);

@@ -58,8 +58,8 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Run `steps` cycles with allocation counting enabled; returns
 /// (allocations, reallocations) observed in the window. `skipping`
-/// drives the event-driven time-skipping loop instead of raw stepping —
-/// jump decisions and idle catch-ups must be allocation-free too.
+/// drives `run` instead of a `step` loop — jump decisions, idle
+/// catch-ups and the report must be allocation-free too.
 fn count_window(gpu: &mut GpuSimulator, steps: u64, skipping: bool) -> (u64, u64) {
     // Env flags are latched outside the counting window: reading them
     // from inside the allocator would itself allocate and recurse.
@@ -69,11 +69,10 @@ fn count_window(gpu: &mut GpuSimulator, steps: u64, skipping: bool) -> (u64, u64
     REALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     if skipping {
-        gpu.set_skip(true);
-        gpu.advance(steps).expect("forward progress");
+        gpu.run(steps).expect("forward progress");
     } else {
         for _ in 0..steps {
-            gpu.step();
+            gpu.step().expect("forward progress");
         }
     }
     COUNTING.store(false, Ordering::SeqCst);
@@ -100,7 +99,7 @@ fn steady_state_gpu(arch: ArchKind) -> GpuSimulator {
     // Reach steady state: first touches fault every working-set page in
     // and every queue/pool/table grows to its stable capacity.
     for _ in 0..6_000 {
-        gpu.step();
+        gpu.step().expect("forward progress");
     }
     gpu
 }
@@ -118,14 +117,14 @@ fn step_is_allocation_free_in_steady_state() {
             "{arch:?}: steady-state step path allocated \
              ({allocs} allocs, {reallocs} reallocs over 2000 cycles)"
         );
-        // The time-skipping loop shares the zero-allocation contract:
-        // event aggregation, watchdog emulation, window flushing and
-        // idle catch-ups all run on pre-sized state. Count over the
-        // *same* cycle range on a fresh simulator: skipping is
-        // byte-identical to stepping, so the component capacity
-        // trajectory matches the stepped window that just passed — any
-        // allocation observed here comes from the jump machinery
-        // itself.
+        // `run` shares the zero-allocation contract: event
+        // aggregation, watchdog emulation, window flushing, idle
+        // catch-ups and the report (no heap field) all run on
+        // pre-sized state. Count over the *same* cycle range on a fresh
+        // simulator: `run` is byte-identical to stepping, so the
+        // component capacity trajectory matches the stepped window that
+        // just passed — any allocation observed here comes from the
+        // jump machinery or the report itself.
         let mut gpu = steady_state_gpu(arch);
         let (allocs, reallocs) = count_window(&mut gpu, 2_000, true);
         assert_eq!(

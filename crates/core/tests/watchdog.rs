@@ -2,7 +2,7 @@
 //! configurations, and it fires deterministically — with a populated
 //! [`DeadlockReport`] — when a fault genuinely starves the machine.
 
-use nuba_core::{GpuSimulator, SimError};
+use nuba_core::{SimError, SimSession};
 use nuba_engine::{Fault, FaultPlan};
 use nuba_types::{ArchKind, GpuConfig, PagePolicyKind, ReplicationKind};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
@@ -39,19 +39,31 @@ fn simcheck_configs() -> Vec<(String, GpuConfig)> {
     out
 }
 
-fn starved_run(budget: u64, cycles: u64) -> Result<nuba_core::SimReport, SimError> {
-    let cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
+/// Build a session for `cfg` on Kmeans, arm `plan` and the watchdog
+/// `budget`, warm it and run `cycles` cycles.
+fn run_armed(
+    cfg: GpuConfig,
+    plan: &FaultPlan,
+    budget: u64,
+    cycles: u64,
+) -> Result<nuba_core::SimReport, SimError> {
     let wl = Workload::build(
         BenchmarkId::Kmeans,
         ScaleProfile::fast(),
         cfg.num_sms,
         cfg.seed,
     );
+    let mut session = SimSession::builder(cfg, wl).build().expect("valid config");
+    session.gpu_mut().set_fault_plan(plan);
+    session.gpu_mut().set_watchdog(Some(budget));
+    session.warm();
+    session.run_window(cycles)
+}
+
+fn starved_run(budget: u64, cycles: u64) -> Result<nuba_core::SimReport, SimError> {
+    let cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
     let plan = FaultPlan::uniform_link_derate(0.0, cfg.num_sms, cfg.num_llc_slices);
-    let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-    gpu.set_fault_plan(&plan);
-    gpu.set_watchdog(Some(budget));
-    gpu.warm_and_run(&wl, cycles)
+    run_armed(cfg, &plan, budget, cycles)
 }
 
 #[test]
@@ -61,15 +73,7 @@ fn healthy_configs_never_trip_the_watchdog() {
     // the simcheck configurations stalls its retire stream for 1500
     // consecutive cycles, something real broke.
     for (name, cfg) in simcheck_configs() {
-        let wl = Workload::build(
-            BenchmarkId::Kmeans,
-            ScaleProfile::fast(),
-            cfg.num_sms,
-            cfg.seed,
-        );
-        let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-        gpu.set_watchdog(Some(1500));
-        let r = gpu.warm_and_run(&wl, 4000);
+        let r = run_armed(cfg, &FaultPlan::new(), 1500, 4000);
         assert!(
             r.is_ok(),
             "{name}: watchdog fired on a healthy config: {:?}",
@@ -116,19 +120,9 @@ fn deadlock_report_embeds_a_bounded_flight_recorder() {
         let mut cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
         cfg.telemetry.window_cycles = Some(100);
         cfg.telemetry.ring_windows = 8;
-        let wl = Workload::build(
-            BenchmarkId::Kmeans,
-            ScaleProfile::fast(),
-            cfg.num_sms,
-            cfg.seed,
-        );
         let plan = FaultPlan::uniform_link_derate(0.0, cfg.num_sms, cfg.num_llc_slices);
-        let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-        gpu.set_fault_plan(&plan);
-        gpu.set_watchdog(Some(budget));
-        let err = gpu
-            .warm_and_run(&wl, cycles)
-            .expect_err("zero-bandwidth links must deadlock");
+        let err =
+            run_armed(cfg, &plan, budget, cycles).expect_err("zero-bandwidth links must deadlock");
         let SimError::NoForwardProgress(report) = err else {
             panic!("wrong error kind: {err}");
         };
@@ -162,19 +156,8 @@ fn deadlock_report_embeds_a_bounded_flight_recorder() {
 
 #[test]
 fn stalled_tlb_walkers_trip_the_watchdog() {
-    let cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
-    let wl = Workload::build(
-        BenchmarkId::Kmeans,
-        ScaleProfile::fast(),
-        cfg.num_sms,
-        cfg.seed,
-    );
     let plan = FaultPlan::new().with(Fault::TlbWalkerStall, 0, None);
-    let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-    gpu.set_fault_plan(&plan);
-    gpu.set_watchdog(Some(800));
-    let err = gpu
-        .warm_and_run(&wl, 3000)
+    let err = run_armed(GpuConfig::paper_baseline(ArchKind::Nuba), &plan, 800, 3000)
         .expect_err("stalled walkers must deadlock");
     let SimError::NoForwardProgress(report) = err else {
         panic!("wrong error kind: {err}");
@@ -190,21 +173,10 @@ fn reverted_fault_lets_the_run_complete() {
     // The same starvation fault, but with a window that ends: the
     // watchdog must not fire as long as the budget outlasts the outage.
     let cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
-    let wl = Workload::build(
-        BenchmarkId::Kmeans,
-        ScaleProfile::fast(),
-        cfg.num_sms,
-        cfg.seed,
-    );
     let mut plan = FaultPlan::new();
     for e in FaultPlan::uniform_link_derate(0.0, cfg.num_sms, cfg.num_llc_slices).events() {
         plan = plan.with(e.fault, 100, Some(600));
     }
-    let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-    gpu.set_fault_plan(&plan);
-    gpu.set_watchdog(Some(2000));
-    let r = gpu
-        .warm_and_run(&wl, 4000)
-        .expect("outage shorter than budget");
+    let r = run_armed(cfg, &plan, 2000, 4000).expect("outage shorter than budget");
     assert!(r.read_replies > 0, "replies flow once the links recover");
 }

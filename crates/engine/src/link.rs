@@ -108,7 +108,8 @@ impl<T: Wire> BandwidthLink<T> {
         // Idle fast-path: nothing serializing and nothing due for
         // delivery. Returning before the `last_tick` write keeps a
         // per-cycle-stepped idle span byte-identical to a skipped one,
-        // which is what lets `run_skipping` jump over these cycles.
+        // which is what lets the simulator's run loop jump over these
+        // cycles.
         if self.queue.is_empty() && self.inflight.front().is_none_or(|(r, _)| *r > now) {
             return;
         }

@@ -8,7 +8,7 @@
 
 use nuba::noc::NocPowerModel;
 use nuba::types::NocPowerParams;
-use nuba::{ArchKind, BenchmarkId, GpuConfig, GpuSimulator, ScaleProfile, Workload};
+use nuba::{ArchKind, BenchmarkId, GpuConfig, ScaleProfile, SimSession, Workload};
 
 fn main() {
     let bench = BenchmarkId::Kmeans;
@@ -34,8 +34,9 @@ fn main() {
                 2,
                 1.4e9,
             );
-            let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-            let r = gpu.warm_and_run(&wl, cycles).expect("forward progress");
+            let mut session = SimSession::builder(cfg, wl).build().expect("valid config");
+            session.warm();
+            let r = session.run_window(cycles).expect("forward progress");
             let base = baseline.get_or_insert(r.perf());
             println!(
                 "{:<10} {:>8.1} {:>12.2} {:>12.1} {:>12.1}",

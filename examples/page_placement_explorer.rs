@@ -7,7 +7,7 @@
 //! ```
 
 use nuba::{
-    ArchKind, BenchmarkId, GpuConfig, GpuSimulator, PagePolicyKind, ReplicationKind, ScaleProfile,
+    ArchKind, BenchmarkId, GpuConfig, PagePolicyKind, ReplicationKind, ScaleProfile, SimSession,
     Workload,
 };
 
@@ -44,9 +44,10 @@ fn main() {
             cfg.page_policy = policy;
             cfg.replication = ReplicationKind::None;
             let wl = Workload::build(bench, ScaleProfile::default(), cfg.num_sms, 42);
-            let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-            let report = gpu.warm_and_run(&wl, cycles).expect("forward progress");
-            let driver = gpu.driver();
+            let mut session = SimSession::builder(cfg, wl).build().expect("valid config");
+            session.warm();
+            let report = session.run_window(cycles).expect("forward progress");
+            let driver = session.gpu().driver();
             let rel = ft_perf.get_or_insert(report.perf());
             println!(
                 "{:<12} {:>8.2} {:>7.1}% {:>6.2} {:>8}  {}",

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nuba::{ArchKind, BenchmarkId, GpuConfig, GpuSimulator, ScaleProfile, Workload};
+use nuba::{ArchKind, BenchmarkId, GpuConfig, ScaleProfile, SimSession, Workload};
 
 fn main() {
     // The paper's Table 1 machine: 64 SMs, 64 LLC slices, 32 HBM
@@ -25,10 +25,11 @@ fn main() {
     for arch in [ArchKind::MemSideUba, ArchKind::SmSideUba, ArchKind::Nuba] {
         let cfg = GpuConfig::paper_baseline(arch);
         let workload = Workload::build(bench, ScaleProfile::default(), cfg.num_sms, 42);
-        let mut gpu = GpuSimulator::try_new(cfg, &workload).expect("valid config");
-        let report = gpu
-            .warm_and_run(&workload, cycles)
-            .expect("forward progress");
+        let mut session = SimSession::builder(cfg, workload)
+            .build()
+            .expect("valid config");
+        session.warm();
+        let report = session.run_window(cycles).expect("forward progress");
 
         let speedup = match baseline_perf {
             None => {

@@ -7,9 +7,7 @@
 
 use nuba::core::mdr::paper_slice_bandwidths;
 use nuba::core::{mdr_evaluate, MdrProfile};
-use nuba::{
-    ArchKind, BenchmarkId, GpuConfig, GpuSimulator, ReplicationKind, ScaleProfile, Workload,
-};
+use nuba::{ArchKind, BenchmarkId, GpuConfig, ReplicationKind, ScaleProfile, SimSession, Workload};
 
 fn main() {
     // --- The model in isolation (paper §5.1) ---
@@ -63,8 +61,9 @@ fn main() {
             let mut cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
             cfg.replication = rep;
             let wl = Workload::build(bench, ScaleProfile::default(), cfg.num_sms, 42);
-            let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-            let r = gpu.warm_and_run(&wl, cycles).expect("forward progress");
+            let mut session = SimSession::builder(cfg, wl).build().expect("valid config");
+            session.warm();
+            let r = session.run_window(cycles).expect("forward progress");
             let base = norep_perf.get_or_insert(r.perf());
             println!(
                 "    {:<9} speedup={:>5.2}x  LLC hit={:>4.1}%  replica fills={:<7} \

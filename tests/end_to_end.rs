@@ -3,7 +3,7 @@
 //! suite stays fast.
 
 use nuba::{
-    ArchKind, BenchmarkId, GpuConfig, GpuSimulator, PagePolicyKind, ReplicationKind, ScaleProfile,
+    ArchKind, BenchmarkId, GpuConfig, PagePolicyKind, ReplicationKind, ScaleProfile, SimSession,
     Workload,
 };
 
@@ -21,8 +21,15 @@ fn small(arch: ArchKind) -> GpuConfig {
 
 fn run(bench: BenchmarkId, cfg: GpuConfig) -> nuba::SimReport {
     let wl = Workload::build(bench, ScaleProfile::fast(), cfg.num_sms, 7);
-    let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-    gpu.warm_and_run(&wl, CYCLES).expect("forward progress")
+    simulate(cfg, wl, CYCLES).1
+}
+
+/// Build a session, warm it, and run a timed window of `cycles`.
+fn simulate(cfg: GpuConfig, wl: Workload, cycles: u64) -> (SimSession, nuba::SimReport) {
+    let mut session = SimSession::builder(cfg, wl).build().expect("valid config");
+    session.warm();
+    let r = session.run_window(cycles).expect("forward progress");
+    (session, r)
 }
 
 #[test]
@@ -190,10 +197,8 @@ fn different_seeds_diverge() {
     let cfg = small(ArchKind::Nuba);
     let wl_a = Workload::build(BenchmarkId::Sgemm, ScaleProfile::fast(), cfg.num_sms, 1);
     let wl_b = Workload::build(BenchmarkId::Sgemm, ScaleProfile::fast(), cfg.num_sms, 2);
-    let mut ga = GpuSimulator::try_new(cfg.clone(), &wl_a).expect("valid config");
-    let mut gb = GpuSimulator::try_new(cfg, &wl_b).expect("valid config");
-    let ra = ga.warm_and_run(&wl_a, CYCLES).expect("forward progress");
-    let rb = gb.warm_and_run(&wl_b, CYCLES).expect("forward progress");
+    let (_, ra) = simulate(cfg.clone(), wl_a, CYCLES);
+    let (_, rb) = simulate(cfg, wl_b, CYCLES);
     assert_ne!(ra.warp_ops, rb.warp_ops);
 }
 
@@ -228,8 +233,7 @@ fn page_size_sensitivity_runs_with_huge_pages() {
         cfg.num_sms,
         7,
     );
-    let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-    let r = gpu.warm_and_run(&wl, CYCLES).expect("forward progress");
+    let (_, r) = simulate(cfg, wl, CYCLES);
     assert!(r.warp_ops > 1_000);
 }
 
@@ -244,12 +248,11 @@ fn alternative_policies_run_and_report_activity() {
         mig.num_sms,
         7,
     );
-    let mut gpu = GpuSimulator::try_new(mig, &wl).expect("valid config");
-    let r = gpu.warm_and_run(&wl, CYCLES).expect("forward progress");
+    let (session, r) = simulate(mig, wl, CYCLES);
     assert!(r.warp_ops > 0);
     // Shared-heavy workload under migration: pages should move.
     assert!(
-        gpu.driver().stats().migrations > 0,
+        session.gpu().driver().stats().migrations > 0,
         "expected page migrations on a high-sharing workload"
     );
 }
@@ -272,8 +275,7 @@ fn captured_trace_replays_through_the_simulator() {
     assert!(wl.is_trace());
     let mut cfg = cfg;
     cfg.sim_active_warps = 4;
-    let mut gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-    let r = gpu.warm_and_run(&wl, 6_000).expect("forward progress");
+    let (_, r) = simulate(cfg, wl, 6_000);
     assert!(
         r.warp_ops > 1_000,
         "trace replay made no progress: {}",
@@ -293,8 +295,7 @@ fn trace_replay_is_deterministic() {
         let wl = Workload::from_trace(t);
         let mut c = cfg.clone();
         c.sim_active_warps = 4;
-        let mut gpu = GpuSimulator::try_new(c, &wl).expect("valid config");
-        gpu.warm_and_run(&wl, 5_000).expect("forward progress")
+        simulate(c, wl, 5_000).1
     };
     let a = run(trace.clone());
     let b = run(trace);
