@@ -12,48 +12,14 @@
 //! DRAM+reply) come from the sampled lifecycle tracer.
 //!
 //! All numbers are simulated cycles and integer counts — byte-identical
-//! across worker counts and skip modes. Export the underlying data with
-//! `NUBA_METRICS=<file>` (Prometheus text) alongside the usual
-//! telemetry knobs.
+//! across worker counts. `NUBA_OBS=<dir>` exports the underlying data:
+//! the merged histograms as Prometheus text in `metrics.prom`, next to
+//! the windows, lifecycles and job events (see `nuba_bench::obs`).
 
 use nuba_bench::runner::{self, run_matrix, Job};
-use nuba_bench::{chart, figure_header, Harness};
-use nuba_types::{
-    ArchKind, GpuConfig, LatencySummary, PagePolicyKind, ReplicationKind, TelemetryConfig,
-};
+use nuba_bench::{chart, figure_header, obs, simcheck_configs, Harness};
+use nuba_types::{ArchKind, GpuConfig, LatencySummary, TelemetryConfig};
 use nuba_workloads::BenchmarkId;
-
-/// The same architecture matrix `simcheck` covers: both UBA baselines
-/// plus NUBA with each replication / page-allocation policy.
-fn configs() -> Vec<(String, GpuConfig)> {
-    let mut out = vec![
-        (
-            "UBA-mem".to_string(),
-            GpuConfig::paper_baseline(ArchKind::MemSideUba),
-        ),
-        (
-            "UBA-sm".to_string(),
-            GpuConfig::paper_baseline(ArchKind::SmSideUba),
-        ),
-    ];
-    for (rep_name, rep) in [
-        ("NoRep", ReplicationKind::None),
-        ("FullRep", ReplicationKind::Full),
-        ("MDR", ReplicationKind::Mdr),
-    ] {
-        for (pol_name, pol) in [
-            ("FirstTouch", PagePolicyKind::FirstTouch),
-            ("RoundRobin", PagePolicyKind::RoundRobin),
-            ("LAB", PagePolicyKind::lab_default()),
-        ] {
-            let cfg = GpuConfig::paper_baseline(ArchKind::Nuba)
-                .with_replication(rep)
-                .with_policy(pol);
-            out.push((format!("NUBA-{rep_name}-{pol_name}"), cfg));
-        }
-    }
-    out
-}
 
 fn main() {
     figure_header(
@@ -63,7 +29,7 @@ fn main() {
     let h = Harness::from_env();
     let bench = BenchmarkId::Kmeans;
 
-    let jobs: Vec<Job> = configs()
+    let jobs: Vec<Job> = simcheck_configs()
         .into_iter()
         .map(|(name, cfg)| {
             // Lifecycle tracing feeds the per-stage histograms; the
@@ -78,7 +44,7 @@ fn main() {
         })
         .collect();
     let results = run_matrix(&h, &jobs);
-    runner::write_telemetry_outputs(&results);
+    obs::write(&results);
 
     println!("{bench} read latency by bandwidth tier (simulated cycles):\n");
     println!(

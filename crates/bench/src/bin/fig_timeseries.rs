@@ -6,12 +6,12 @@
 //! This is the windowed-telemetry showcase: each job runs with the
 //! sampler enabled (`TelemetryConfig`), and the figure is drawn from
 //! the [`JobResult::windows`](nuba_bench::runner::JobResult) the
-//! runner brings back — the same data
-//! `NUBA_TIMESERIES=<file>` exports as JSONL and `NUBA_TRACE=<file>`
-//! complements with Chrome-traceable request lifecycles.
+//! runner brings back. `NUBA_OBS=<dir>` exports the same windows as
+//! `timeseries.jsonl` and the sampled request lifecycles as the Chrome
+//! trace `trace.json` (see [`nuba_bench::obs`]).
 
 use nuba_bench::runner::{self, run_matrix, Job};
-use nuba_bench::{chart, figure_header, Harness};
+use nuba_bench::{chart, figure_header, obs, Harness};
 use nuba_engine::{Fault, FaultPlan, LinkSite};
 use nuba_types::{ArchKind, GpuConfig, TelemetryConfig};
 use nuba_workloads::BenchmarkId;
@@ -104,7 +104,7 @@ fn main() {
         })
         .collect();
     let results = run_matrix(&h, &jobs);
-    runner::write_telemetry_outputs(&results);
+    obs::write(&results);
 
     println!(
         "{bench} on each architecture; links derated to x{FAULT_FACTOR} \
@@ -149,7 +149,7 @@ fn main() {
         );
     }
     println!("Windows overlapping the fault are marked `!`. Export the same data");
-    println!("with NUBA_TIMESERIES=<file.jsonl> and NUBA_TRACE=<file.json>.");
+    println!("with NUBA_OBS=<dir> (timeseries.jsonl and trace.json).");
 
     std::process::exit(runner::finish());
 }

@@ -221,15 +221,22 @@ fn scale_of(a: &Args) -> ScaleProfile {
 
 /// Run the selected benchmarks on the `NUBA_JOBS` worker pool,
 /// returning per-job reports plus wall-clock / throughput records.
+/// With `NUBA_OBS` set every job samples 1000-cycle windows and one
+/// read in 64, so the exported files have something to show.
 fn run_all(a: &Args, benches: &[BenchmarkId]) -> Vec<JobResult> {
     let h = Harness {
         cycles: a.cycles,
         scale: scale_of(a),
         seed: a.seed,
     };
+    let mut cfg = build_config(a);
+    if HarnessOptions::get().obs.is_some() {
+        cfg.telemetry.window_cycles = Some(1000);
+        cfg.telemetry.trace_sample_period = 64;
+    }
     let jobs: Vec<Job> = benches
         .iter()
-        .map(|&b| Job::new(b.to_string(), b, build_config(a)))
+        .map(|&b| Job::new(b.to_string(), b, cfg.clone()))
         .collect();
     run_matrix(&h, &jobs)
 }
@@ -532,7 +539,7 @@ fn main() {
         None => BenchmarkId::ALL.to_vec(),
     };
     let results = run_all(&args, &benches);
-    nuba_bench::runner::write_telemetry_outputs(&results);
+    nuba_bench::obs::write(&results);
     if args.json {
         println!("[");
         for (i, (&b, j)) in benches.iter().zip(&results).enumerate() {

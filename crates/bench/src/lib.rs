@@ -17,6 +17,7 @@
 //! defaults, or the README's "Environment knobs" table). Results are
 //! schedule-independent regardless of `NUBA_JOBS` — see [`runner`].
 
+pub mod obs;
 pub mod runner;
 pub mod screen;
 pub mod store;
@@ -49,14 +50,6 @@ pub struct HarnessOptions {
     pub full: bool,
     /// `NUBA_STRICT_FAULTS=1`: quarantined jobs fail the process.
     pub strict_faults: bool,
-    /// `NUBA_TIMESERIES=<path>`: write windowed telemetry JSONL here.
-    /// Only `fig_timeseries`, `fig_latency` and `nuba_sim` write it;
-    /// other matrix binaries still window every job and write nothing.
-    pub timeseries: Option<String>,
-    /// `NUBA_TRACE=<path>`: write the Chrome lifecycle trace here.
-    /// Only `fig_timeseries`, `fig_latency` and `nuba_sim` write it;
-    /// other matrix binaries still sample every job and write nothing.
-    pub trace: Option<String>,
     /// `NUBA_CHAOS=1`: run the sanctioned chaos drill in
     /// `all_experiments` (injected panic + deadlock jobs).
     pub chaos: bool,
@@ -74,47 +67,29 @@ pub struct HarnessOptions {
     /// traces (see [`store`]). Unset keeps them in memory only, with
     /// byte-identical results.
     pub store_dir: Option<String>,
-    /// `NUBA_METRICS=<path>`: write the matrix-end Prometheus
-    /// text-exposition dump here (outcome counts, cycle totals, merged
-    /// per-tier latency histograms — deterministic; no wall-clock
-    /// values). Only `fig_timeseries`, `fig_latency` and `nuba_sim`
-    /// write it.
-    pub metrics: Option<String>,
-    /// `NUBA_EVENTS=<path>`: write the structured harness event log
-    /// (JSONL, one outcome line per job, monotonic `seq`) here.
-    /// Rendered post-run in submission order, so the content is
-    /// deterministic — no wall-clock fields at all. Only
-    /// `fig_timeseries`, `fig_latency` and `nuba_sim` write it.
-    pub events: Option<String>,
-    /// `NUBA_MATRIX_TRACE=<path>`: write the matrix-level Chrome trace
-    /// (one span per job) here. The only artifact that carries
-    /// wall-clock timestamps — explicitly exempt from the
-    /// byte-determinism contract (DESIGN.md §16). Only
-    /// `fig_timeseries`, `fig_latency` and `nuba_sim` write it.
-    pub matrix_trace: Option<String>,
+    /// `NUBA_OBS=<dir>`: write the matrix's five observability files
+    /// into this directory (see [`obs`]). Only `fig_timeseries`,
+    /// `fig_latency` and `nuba_sim` write them.
+    pub obs: Option<String>,
 }
 
 /// Every `NUBA_*` variable something in the workspace reads: the
 /// [`HarnessOptions`] knobs and `NUBA_CORRELATION` (read by
 /// `fig_correlation`). No simulator crate reads the environment. Any
 /// other `NUBA_*` variable in the environment draws a warning.
-const KNOWN: [&str; 16] = [
+const KNOWN: [&str; 12] = [
     "NUBA_CHAOS",
     "NUBA_CORRELATION",
     "NUBA_CYCLES",
-    "NUBA_EVENTS",
     "NUBA_FAST",
     "NUBA_FULL",
     "NUBA_JOBS",
-    "NUBA_MATRIX_TRACE",
-    "NUBA_METRICS",
+    "NUBA_OBS",
     "NUBA_PAE",
     "NUBA_SCREEN",
     "NUBA_SIMCHECK_CYCLES",
     "NUBA_STORE_DIR",
     "NUBA_STRICT_FAULTS",
-    "NUBA_TIMESERIES",
-    "NUBA_TRACE",
 ];
 
 /// The `NUBA_*` names among `vars` that [`KNOWN`] lacks, sorted.
@@ -160,16 +135,12 @@ impl HarnessOptions {
             fast: flag("NUBA_FAST"),
             full: flag("NUBA_FULL"),
             strict_faults: flag("NUBA_STRICT_FAULTS"),
-            timeseries: var("NUBA_TIMESERIES"),
-            trace: var("NUBA_TRACE"),
             chaos: flag("NUBA_CHAOS"),
             pae: flag("NUBA_PAE"),
             simcheck_cycles: number(&var, "NUBA_SIMCHECK_CYCLES")?.unwrap_or(8192),
             screen: flag("NUBA_SCREEN"),
             store_dir: var("NUBA_STORE_DIR"),
-            metrics: var("NUBA_METRICS"),
-            events: var("NUBA_EVENTS"),
-            matrix_trace: var("NUBA_MATRIX_TRACE"),
+            obs: var("NUBA_OBS"),
         })
     }
 
@@ -515,10 +486,18 @@ mod tests {
             "NUBA_NO_SKIP",
             "NUBA_CYCLE",
             "NUBA_CORRELATION",
+            "NUBA_TIMESERIES",
+            "NUBA_MATRIX_TRACE",
         ];
         assert_eq!(
             unknown_knobs(vars),
-            ["NUBA_CYCLE", "NUBA_FIDELITY", "NUBA_NO_SKIP"]
+            [
+                "NUBA_CYCLE",
+                "NUBA_FIDELITY",
+                "NUBA_MATRIX_TRACE",
+                "NUBA_NO_SKIP",
+                "NUBA_TIMESERIES"
+            ]
         );
     }
 

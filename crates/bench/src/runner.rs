@@ -17,13 +17,12 @@
 //! relaxed atomics and only ever *counts* under the pool.
 //!
 //! Shared runner state — the warm-trace cache, the quarantine registry
-//! and the optional on-disk [trace store](crate::store) — lives in an
-//! injectable [`RunnerCtx`].
-//! Binaries keep calling the module-level [`run_matrix`]/[`finish`]
+//! and the optional on-disk [trace store](crate::store) — lives in a
+//! [`RunnerCtx`]. Binaries call the module-level [`run_matrix`]/[`finish`]
 //! wrappers, which delegate to a process-wide environment-configured
-//! context; servers and tests construct their own via
-//! [`RunnerCtx::new`]/[`RunnerCtx::with_store`] and use
-//! [`run_matrix_ctx`].
+//! context; tests and `nuba-perf` build their own via
+//! [`RunnerCtx::new`]/[`RunnerCtx::with_store`] and pass it to
+//! [`run_matrix_ctx_with`].
 //!
 //! Fault isolation and lifecycle: each job runs exactly once, straight
 //! through, under [`std::panic::catch_unwind`] with an optional per-job
@@ -40,15 +39,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use nuba_core::telemetry::escape_json;
 use nuba_core::{
     default_warm_accesses, first_touches, GpuSimulator, SimError, SimReport, TelemetryWindow,
-    TraceRecord, NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES,
+    TraceRecord,
 };
 use nuba_engine::FaultPlan;
 use nuba_types::addr::PageNum;
 use nuba_types::state::{fnv1a, StateValue, StateWriter};
-use nuba_types::{GpuConfig, Histogram, MetricsRegistry, SmId};
+use nuba_types::{GpuConfig, SmId};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
 
 use crate::store::{StoreKey, TraceStore};
@@ -169,12 +167,11 @@ pub struct JobResult {
     /// Why the job was quarantined; `None` on success.
     pub error: Option<String>,
     /// Windowed telemetry retained by the job's sampler (empty unless
-    /// the job's config — or `NUBA_TIMESERIES` — enabled windowing, or
-    /// the job was quarantined).
+    /// the job's config enabled windowing, or if the job was
+    /// quarantined).
     pub windows: Vec<TelemetryWindow>,
     /// Completed request-lifecycle trace records (empty unless the
-    /// job's config — or `NUBA_TRACE` — enabled tracing, or the job
-    /// was quarantined).
+    /// job's config enabled tracing, or if the job was quarantined).
     pub trace: Vec<TraceRecord>,
     /// Wall-clock offset of the job's start relative to the matrix
     /// start, in seconds. Feeds only the matrix Chrome trace — the one
@@ -209,15 +206,14 @@ pub struct JobFailure {
 /// it.
 type Touches = Arc<[(PageNum, SmId)]>;
 
-/// Everything the runner shares across the jobs of a matrix, made
-/// injectable so servers and tests don't fight over process-globals
-/// (ROADMAP item 3): the warm-trace cache, the quarantine registry and
-/// the optional on-disk [trace store](crate::store).
+/// Everything the runner shares across the jobs of a matrix: the
+/// warm-trace cache, the quarantine registry and the optional on-disk
+/// [trace store](crate::store). Tests and `nuba-perf` each build their
+/// own, so they share no runner state.
 ///
 /// The module-level wrappers ([`run_matrix`], [`finish`],
-/// [`quarantined_jobs`], …) delegate to the process-wide
-/// environment-configured instance ([`global_ctx`]), so existing
-/// binaries don't churn.
+/// [`quarantined_jobs`], …) delegate to one process-wide
+/// environment-configured instance.
 pub struct RunnerCtx {
     /// First-touch traces, keyed like their store entries (the store's
     /// in-memory front). Warm-up only faults pages in, and which pages
@@ -277,15 +273,6 @@ impl RunnerCtx {
             .clone();
         q.sort_by(|a, b| a.label.cmp(&b.label));
         q
-    }
-
-    /// Clear the quarantine registry (test isolation / multi-phase
-    /// tools).
-    pub fn reset_quarantine(&self) {
-        self.quarantine
-            .lock()
-            .expect("quarantine registry poisoned")
-            .clear();
     }
 
     /// Drop every cached first-touch trace (test isolation). The trace
@@ -349,7 +336,7 @@ impl Default for RunnerCtx {
 
 /// The process-wide environment-configured [`RunnerCtx`] the
 /// module-level wrappers delegate to, built on first use.
-pub fn global_ctx() -> &'static RunnerCtx {
+fn global_ctx() -> &'static RunnerCtx {
     static CTX: OnceLock<RunnerCtx> = OnceLock::new();
     CTX.get_or_init(RunnerCtx::from_env)
 }
@@ -358,12 +345,6 @@ pub fn global_ctx() -> &'static RunnerCtx {
 /// label.
 pub fn quarantined_jobs() -> Vec<JobFailure> {
     global_ctx().quarantined_jobs()
-}
-
-/// Clear the global context's quarantine registry (test isolation /
-/// multi-phase tools).
-pub fn reset_quarantine() {
-    global_ctx().reset_quarantine()
 }
 
 /// Drop the global context's cached first-touch traces.
@@ -424,14 +405,6 @@ where
         })
         .collect()
 }
-
-/// Sampling defaults when telemetry is switched on from the
-/// environment rather than the job's own config: 1000-cycle windows
-/// and 1-in-64 request tracing. Fixed constants (not wall-clock or
-/// machine dependent) so the exported artifacts stay byte-identical
-/// across worker counts.
-const ENV_WINDOW_CYCLES: u64 = 1000;
-const ENV_TRACE_PERIOD: u64 = 64;
 
 /// Build a simulator for `cfg`/`wl` and warm it by replaying the
 /// workload's first-touch trace — byte-identical to
@@ -501,22 +474,12 @@ struct JobOutput {
 /// watchdog) or a panic (workload/config mismatch, internal bug) — the
 /// caller catches both.
 fn execute_job(ctx: &RunnerCtx, h: &Harness, job: &Job) -> Result<JobOutput, SimError> {
-    let opts = HarnessOptions::get();
     let scale = job.scale.unwrap_or(h.scale);
     let seed = job.seed.unwrap_or(h.seed);
     let mut cfg = job.cfg.clone();
     cfg.seed = seed;
     if cfg.page_bytes != scale.page_bytes {
         cfg.page_bytes = scale.page_bytes;
-    }
-    // `NUBA_TIMESERIES` / `NUBA_TRACE` switch telemetry on for every
-    // job in the matrix without touching the binaries; jobs whose
-    // config already enables a pillar keep their own knobs.
-    if opts.timeseries.is_some() {
-        cfg.telemetry.window_cycles.get_or_insert(ENV_WINDOW_CYCLES);
-    }
-    if opts.trace.is_some() && cfg.telemetry.trace_sample_period == 0 {
-        cfg.telemetry.trace_sample_period = ENV_TRACE_PERIOD;
     }
     let wl = Workload::build(job.bench, scale, cfg.num_sms, seed);
     // The fault plan and watchdog are armed after warm-up, which only
@@ -605,12 +568,8 @@ pub fn run_matrix_with(h: &Harness, jobs: &[Job], threads: usize) -> Vec<JobResu
     run_matrix_ctx_with(global_ctx(), h, jobs, threads)
 }
 
-/// Run an experiment matrix under an explicit [`RunnerCtx`].
-pub fn run_matrix_ctx(ctx: &RunnerCtx, h: &Harness, jobs: &[Job]) -> Vec<JobResult> {
-    run_matrix_ctx_with(ctx, h, jobs, num_jobs())
-}
-
-/// [`run_matrix_ctx`] with an explicit worker count.
+/// Run an experiment matrix under an explicit [`RunnerCtx`] and worker
+/// count.
 pub fn run_matrix_ctx_with(
     ctx: &RunnerCtx,
     h: &Harness,
@@ -625,178 +584,6 @@ pub fn run_matrix_ctx_with(
     run_jobs(jobs.len(), threads, |i| {
         run_job(ctx, h, &jobs[i], matrix_start)
     })
-}
-
-/// Render every job's retained telemetry windows as JSONL, one line
-/// per window, jobs in submission order. Deterministic: the content
-/// depends only on the simulations, never on the schedule or clock.
-pub fn render_timeseries(results: &[JobResult]) -> String {
-    let mut out = String::new();
-    for (job_idx, r) in results.iter().enumerate() {
-        for (w_idx, w) in r.windows.iter().enumerate() {
-            out.push_str(&w.jsonl_line(&r.label, job_idx, w_idx));
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Render every job's completed lifecycle records as one Chrome
-/// `trace_event` JSON object (load it at `chrome://tracing` or in
-/// Perfetto). `pid` is the job's submission index, `tid` the SM, and
-/// timestamps are simulated cycles presented as microseconds.
-/// Deterministic for the same reason as [`render_timeseries`].
-pub fn render_trace(results: &[JobResult]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    for (job_idx, r) in results.iter().enumerate() {
-        for rec in &r.trace {
-            events.extend(rec.trace_events(job_idx, &r.label));
-        }
-    }
-    if events.is_empty() {
-        return "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n".to_string();
-    }
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
-}
-
-/// Render the matrix's structured event log as JSONL: one outcome line
-/// per job (`ok` / `failed`, with `quarantined` and the error set on
-/// faults), jobs in submission order, with a monotonic `seq`. No
-/// wall-clock fields anywhere, so the log is byte-identical across
-/// worker counts and skip modes.
-pub fn render_event_log(results: &[JobResult]) -> String {
-    let mut out = String::new();
-    for (seq, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "{{\"seq\":{seq},\"event\":\"{}\",\"job\":\"{}\",\"job_index\":{seq},\"cycles\":{}",
-            r.outcome.as_str(),
-            escape_json(&r.label),
-            r.report.cycles
-        ));
-        if r.failed() {
-            out.push_str(",\"quarantined\":true");
-        }
-        if let Some(e) = &r.error {
-            out.push_str(&format!(",\"error\":\"{}\"", escape_json(e)));
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
-/// Render the matrix-level Chrome trace: one span per job (pid 0,
-/// tid = submission index). This is the single artifact that carries
-/// wall-clock timestamps — explicitly exempt from the byte-determinism
-/// contract, because its whole point is to show the real schedule (who
-/// ran when). Load at `chrome://tracing` or in Perfetto.
-pub fn render_matrix_trace(results: &[JobResult]) -> String {
-    let us = |secs: f64| (secs * 1e6).round().max(0.0) as u64;
-    let events: Vec<String> = results
-        .iter()
-        .enumerate()
-        .map(|(job_idx, r)| {
-            format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"cat\":\"job\",\"ph\":\"X\",",
-                    "\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},",
-                    "\"args\":{{\"outcome\":\"{}\",\"cycles\":{}}}}}"
-                ),
-                escape_json(&r.label),
-                us(r.start_offset_secs),
-                us(r.wall_seconds),
-                job_idx,
-                r.outcome.as_str(),
-                r.report.cycles,
-            )
-        })
-        .collect();
-    if events.is_empty() {
-        return "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n".to_string();
-    }
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
-}
-
-/// Fold a matrix's results into a [`MetricsRegistry`] for the
-/// `NUBA_METRICS` Prometheus dump: job outcome counts, cycle and
-/// warp-op totals, and the per-tier / per-stage latency histograms
-/// merged across jobs. Deliberately no wall-clock values — the dump is
-/// part of the deterministic artifact set.
-pub fn build_matrix_registry(results: &[JobResult]) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    let stats = MatrixStats::of(results);
-    reg.counter_add("nuba_jobs_total", stats.jobs as u64);
-    reg.counter_add("nuba_jobs_quarantined_total", stats.quarantined as u64);
-    reg.counter_add(
-        "nuba_jobs_ok_total",
-        (stats.jobs - stats.quarantined) as u64,
-    );
-    reg.counter_add("nuba_cycles_total", stats.total_cycles);
-    reg.counter_add(
-        "nuba_warp_ops_total",
-        results.iter().map(|r| r.report.warp_ops).sum(),
-    );
-    let mut tiers = [Histogram::new(); NUM_TIERS];
-    let mut stages = [Histogram::new(); NUM_STAGES];
-    for r in results {
-        for (acc, h) in tiers.iter_mut().zip(r.report.latency.tiers.iter()) {
-            acc.merge(h);
-        }
-        for (acc, h) in stages.iter_mut().zip(r.report.latency.stages.iter()) {
-            acc.merge(h);
-        }
-    }
-    for (i, h) in tiers.iter().enumerate() {
-        if !h.is_empty() {
-            *reg.histogram_mut(&format!("nuba_read_latency_cycles_{}", TIER_NAMES[i])) = *h;
-        }
-    }
-    for (i, h) in stages.iter().enumerate() {
-        if !h.is_empty() {
-            *reg.histogram_mut(&format!("nuba_stage_delay_cycles_{}", STAGE_NAMES[i])) = *h;
-        }
-    }
-    reg
-}
-
-/// Write the matrix's telemetry artifacts to the paths named by
-/// `NUBA_TIMESERIES` (windowed JSONL), `NUBA_TRACE` (Chrome lifecycle
-/// trace), `NUBA_EVENTS` (harness event log JSONL), `NUBA_MATRIX_TRACE`
-/// (matrix-level Chrome trace), and `NUBA_METRICS` (Prometheus text
-/// dump). No-op when none are set. Write failures warn on stderr
-/// rather than failing the run — observability must never take an
-/// otherwise-healthy matrix down. Only `fig_timeseries`, `fig_latency`
-/// and `nuba_sim` call this; other binaries write none of these files.
-pub fn write_telemetry_outputs(results: &[JobResult]) {
-    let opts = HarnessOptions::get();
-    let write = |path: &str, what: &str, content: String| match std::fs::write(path, content) {
-        Ok(()) => eprintln!("runner: wrote {what} to {path}"),
-        Err(e) => eprintln!("runner: cannot write {what} {path}: {e}"),
-    };
-    if let Some(path) = &opts.timeseries {
-        write(path, "windowed telemetry", render_timeseries(results));
-    }
-    if let Some(path) = &opts.trace {
-        write(path, "lifecycle trace", render_trace(results));
-    }
-    if let Some(path) = &opts.events {
-        write(path, "event log", render_event_log(results));
-    }
-    if let Some(path) = &opts.matrix_trace {
-        write(path, "matrix trace", render_matrix_trace(results));
-    }
-    if let Some(path) = &opts.metrics {
-        write(
-            path,
-            "metrics dump",
-            build_matrix_registry(results).render_prometheus(),
-        );
-    }
 }
 
 /// Aggregate throughput of one `run_matrix` call.
@@ -1025,104 +812,6 @@ mod tests {
                 .iter()
                 .any(|f| f.label == "chaos-deadlock"),
             "deadlock recorded in the registry"
-        );
-    }
-
-    #[test]
-    fn event_log_has_monotonic_seq_and_outcomes() {
-        let h = tiny_harness();
-        let cfg = GpuConfig::paper_baseline(nuba_types::ArchKind::Nuba);
-        let jobs = vec![
-            Job::new("ev-ok", BenchmarkId::Kmeans, cfg.clone()),
-            Job::new("ev-panic", BenchmarkId::Kmeans, cfg).with_injected_panic(),
-        ];
-        let ctx = RunnerCtx::new();
-        let results = run_matrix_ctx_with(&ctx, &h, &jobs, 2);
-        let log = render_event_log(&results);
-        let lines: Vec<&str> = log.lines().collect();
-        // One outcome line per job.
-        assert_eq!(lines.len(), 2, "{log}");
-        for (i, l) in lines.iter().enumerate() {
-            assert!(l.starts_with(&format!("{{\"seq\":{i},")), "{l}");
-            assert!(l.contains(&format!("\"job_index\":{i}")), "{l}");
-            assert!(l.ends_with('}'), "{l}");
-            assert!(!l.contains("attempt"), "{l}");
-        }
-        assert!(
-            lines[0].contains("\"event\":\"ok\"")
-                && lines[0].contains("\"ev-ok\"")
-                && lines[0].contains(&format!("\"cycles\":{}", h.cycles))
-                && !lines[0].contains("quarantined"),
-            "{}",
-            lines[0]
-        );
-        assert!(
-            lines[1].contains("\"event\":\"failed\"")
-                && lines[1].contains("\"cycles\":0")
-                && lines[1].contains("\"quarantined\":true")
-                && lines[1].contains("injected chaos panic"),
-            "{}",
-            lines[1]
-        );
-    }
-
-    #[test]
-    fn matrix_trace_has_one_span_per_job() {
-        let h = tiny_harness();
-        let cfg = GpuConfig::paper_baseline(nuba_types::ArchKind::Nuba);
-        let ctx = RunnerCtx::new();
-        let results = run_matrix_ctx_with(
-            &ctx,
-            &h,
-            &[
-                Job::new("trace-job", BenchmarkId::Kmeans, cfg.clone()),
-                Job::new("trace-panic", BenchmarkId::Kmeans, cfg).with_injected_panic(),
-            ],
-            1,
-        );
-        let trace = render_matrix_trace(&results);
-        assert_eq!(trace.matches("\"ph\":\"X\"").count(), 2, "{trace}");
-        assert_eq!(trace.matches("\"cat\":\"job\"").count(), 2, "{trace}");
-        assert!(trace.contains("\"name\":\"trace-job\""), "{trace}");
-        assert!(trace.contains("\"outcome\":\"failed\""), "{trace}");
-        assert!(!trace.contains("attempt"), "{trace}");
-        assert!(trace.ends_with("],\"displayTimeUnit\":\"ms\"}\n"));
-        assert_eq!(
-            render_matrix_trace(&[]),
-            "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n"
-        );
-    }
-
-    #[test]
-    fn matrix_registry_counts_outcomes_and_latency() {
-        let h = tiny_harness();
-        let cfg = GpuConfig::paper_baseline(nuba_types::ArchKind::Nuba);
-        let ctx = RunnerCtx::new();
-        let results = run_matrix_ctx_with(
-            &ctx,
-            &h,
-            &[Job::new("reg-job", BenchmarkId::Kmeans, cfg)],
-            1,
-        );
-        let reg = build_matrix_registry(&results);
-        assert_eq!(reg.counter("nuba_jobs_total"), 1);
-        assert_eq!(reg.counter("nuba_jobs_ok_total"), 1);
-        assert_eq!(reg.counter("nuba_cycles_total"), results[0].report.cycles);
-        // The run delivered read replies, so at least one tier
-        // histogram must be populated and folded into the dump.
-        let replies: u64 = results[0]
-            .report
-            .latency
-            .tiers
-            .iter()
-            .map(|h| h.count())
-            .sum();
-        assert!(replies > 0, "tier histograms populated");
-        let text = reg.render_prometheus();
-        assert!(text.contains("nuba_read_latency_cycles_"), "{text}");
-        assert!(
-            !text.contains("wall"),
-            "no wall-clock values in the deterministic dump"
         );
     }
 

@@ -167,16 +167,16 @@ fn telemetry_exports_are_byte_identical_across_worker_counts() {
         assert!(!r.trace.is_empty(), "`{}` traced no requests", job.label);
     }
 
-    let jsonl = nuba_bench::runner::render_timeseries(&serial);
+    let jsonl = nuba_bench::obs::render_timeseries(&serial);
     assert_eq!(
         jsonl,
-        nuba_bench::runner::render_timeseries(&parallel),
+        nuba_bench::obs::render_timeseries(&parallel),
         "windowed JSONL diverged between serial and parallel execution"
     );
-    let trace = nuba_bench::runner::render_trace(&serial);
+    let trace = nuba_bench::obs::render_trace(&serial);
     assert_eq!(
         trace,
-        nuba_bench::runner::render_trace(&parallel),
+        nuba_bench::obs::render_trace(&parallel),
         "trace JSON diverged between serial and parallel execution"
     );
     // Sanity on the rendered shapes: one JSON object per line, and a
@@ -212,10 +212,10 @@ fn event_log_and_metrics_are_byte_identical_across_worker_counts() {
     let serial = run_matrix_with(&h, &jobs, 1);
     let parallel = run_matrix_with(&h, &jobs, 4);
 
-    let events = nuba_bench::runner::render_event_log(&serial);
+    let events = nuba_bench::obs::render_event_log(&serial);
     assert_eq!(
         events,
-        nuba_bench::runner::render_event_log(&parallel),
+        nuba_bench::obs::render_event_log(&parallel),
         "event log diverged between serial and parallel execution"
     );
     // One JSON object per job, sequence numbers strictly monotonic
@@ -233,10 +233,10 @@ fn event_log_and_metrics_are_byte_identical_across_worker_counts() {
         lines[2]
     );
 
-    let prom = nuba_bench::runner::build_matrix_registry(&serial).render_prometheus();
+    let prom = nuba_bench::obs::build_matrix_registry(&serial).render_prometheus();
     assert_eq!(
         prom,
-        nuba_bench::runner::build_matrix_registry(&parallel).render_prometheus(),
+        nuba_bench::obs::build_matrix_registry(&parallel).render_prometheus(),
         "Prometheus dump diverged between serial and parallel execution"
     );
     assert!(prom.contains("# TYPE nuba_read_latency_cycles_local histogram"));

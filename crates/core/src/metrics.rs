@@ -11,7 +11,7 @@ use crate::telemetry::{NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES};
 /// when `TelemetryConfig::trace_sample_period > 0`).
 ///
 /// Everything is integral ([`Histogram`] is `u64`-only), so the report
-/// stays byte-deterministic across worker counts and skip modes.
+/// stays byte-deterministic across worker counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyReport {
     /// End-to-end read latency indexed by `telemetry::TIER_*`.
@@ -50,7 +50,7 @@ impl LatencyReport {
 
     /// JSON object (`{"overall":{...},"tiers":{...},"stages":{...}}`)
     /// with a [`LatencySummary`] per entry — all integers, so the text
-    /// is identical across platforms, worker counts and skip modes.
+    /// is identical across platforms and worker counts.
     pub fn json(&self) -> String {
         let mut s = String::from("{\"overall\":");
         s.push_str(&LatencySummary::of(&self.overall()).json());

@@ -193,9 +193,10 @@ impl TelemetryWindow {
         )
     }
 
-    /// One JSONL line for the `NUBA_TIMESERIES` export. Integral fields
-    /// are emitted raw; the derived rates use fixed six-digit precision
-    /// so output is byte-stable across platforms and worker counts.
+    /// One line of the `timeseries.jsonl` file `NUBA_OBS` writes.
+    /// Integral fields are emitted raw; the derived rates use fixed
+    /// six-digit precision so output is byte-stable across platforms
+    /// and worker counts.
     pub fn jsonl_line(&self, label: &str, job: usize, window: usize) -> String {
         format!(
             concat!(
