@@ -5,641 +5,35 @@
 //! cargo run --release -p nuba-bench --bin all_experiments
 //! ```
 //!
-//! Simulations execute on the `NUBA_JOBS` worker pool (see
-//! `nuba_bench::runner`); the report is byte-identical at any worker
-//! count. A machine-readable throughput record of the run is written to
-//! `BENCH_runner.json`, keeping one record per `NUBA_JOBS` value so
-//! serial-vs-parallel speedups can be compared across runs.
+//! The figures are the rows of `nuba_bench::figures::FIGURES`, simulated
+//! in one matrix on the `NUBA_JOBS` worker pool (each distinct job once);
+//! the report is byte-identical at any worker count. A machine-readable
+//! throughput record of the run is written to `BENCH_runner.json`,
+//! keeping one record per `NUBA_JOBS` value so serial-vs-parallel
+//! speedups can be compared across runs.
 
 use std::fmt::Write as _;
 
-use nuba_bench::runner::{num_jobs, run_matrix, Job, JobResult, MatrixStats, RunnerRecord};
-use nuba_bench::{class_means, main_configs, pct, sweep_benchmarks, Harness};
-use nuba_core::SimReport;
-use nuba_types::{
-    harmonic_mean_speedup, ArchKind, GpuConfig, MappingKind, PagePolicyKind, ReplicationKind,
-};
-use nuba_workloads::{sharing_buckets, BenchmarkId, ScaleProfile, Workload};
+use nuba_bench::figures::{self, FIGURES};
+use nuba_bench::runner::{num_jobs, run_matrix, Job, RunnerRecord};
+use nuba_bench::Harness;
+use nuba_types::{ArchKind, GpuConfig};
+use nuba_workloads::BenchmarkId;
 
 fn main() {
     let h = Harness::from_env();
     let t0 = std::time::Instant::now();
-    let agg = std::cell::RefCell::new(MatrixStats::default());
-    let mat = |jobs: &[Job]| -> Vec<JobResult> {
-        let rs = run_matrix(&h, jobs);
-        agg.borrow_mut().absorb(MatrixStats::of(&rs));
-        rs
-    };
-    let mut md = String::new();
-    let w = &mut md;
-
-    writeln!(w, "# EXPERIMENTS — paper vs measured\n").unwrap();
-    writeln!(
-        w,
-        "Generated by `cargo run --release -p nuba-bench --bin all_experiments` \
-         ({} timed cycles per run after functional warm-up; harmonic means, as in the paper).\n",
-        h.cycles
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "Absolute magnitudes come from a scaled simulator (see DESIGN.md); the \
+    let mut md = format!(
+        "# EXPERIMENTS — paper vs measured\n\n\
+         Generated by `cargo run --release -p nuba-bench --bin all_experiments` \
+         ({} timed cycles per run after functional warm-up; harmonic means, as in the paper).\n\n\
+         Absolute magnitudes come from a scaled simulator (see DESIGN.md); the \
          reproduction target is the *shape* of each result — who wins, by \
-         roughly what factor, and where the crossovers fall.\n"
-    )
-    .unwrap();
-
-    // ---------------- Figure 3 ----------------
-    eprintln!("[1/9] Figure 3 ...");
-    writeln!(w, "## Figure 3 — page sharing degree\n").unwrap();
-    writeln!(
-        w,
-        "Paper: low-sharing apps have >80% single-SM pages; AN/SN/GRU have >70% \
-         of pages shared by 26–64 SMs; SC shares ~30% of pages among 2–10 SMs.\n"
-    )
-    .unwrap();
-    writeln!(w, "| bench | 1 SM | 2–10 | 11–25 | 26–64 | class |").unwrap();
-    writeln!(w, "|---|---|---|---|---|---|").unwrap();
-    let mut class_ok = 0;
-    for &b in BenchmarkId::ALL {
-        let wl = Workload::build(b, h.scale, 64, h.seed);
-        let p = sharing_buckets(wl.layout(), 64);
-        if p.classify() == b.spec().sharing {
-            class_ok += 1;
-        }
-        writeln!(
-            w,
-            "| {b} | {:.0}% | {:.0}% | {:.0}% | {:.0}% | {} |",
-            p.buckets[0] * 100.0,
-            p.buckets[1] * 100.0,
-            p.buckets[2] * 100.0,
-            p.buckets[3] * 100.0,
-            b.spec().sharing
-        )
-        .unwrap();
-    }
-    writeln!(
-        w,
-        "\nMeasured: {class_ok}/29 benchmarks match their Table 2 class.\n"
-    )
-    .unwrap();
-
-    // ---------------- Main sweep: Figures 7, 8, 9, 13 ----------------
-    eprintln!("[2/9] main sweep (figs 7/8/9/13) ...");
-    let [(_, uba_cfg), (_, sm_cfg), (_, nr_cfg), (_, nuba_cfg)] = main_configs();
-    struct Main {
-        b: BenchmarkId,
-        uba: SimReport,
-        sm: SimReport,
-        nr: SimReport,
-        nuba: SimReport,
-    }
-    let main_jobs: Vec<Job> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&b| {
-            [&uba_cfg, &sm_cfg, &nr_cfg, &nuba_cfg]
-                .map(|cfg| Job::new(b.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let mains: Vec<Main> = mat(&main_jobs)
-        .chunks_exact(4)
-        .zip(BenchmarkId::ALL)
-        .map(|(chunk, &b)| Main {
-            b,
-            uba: chunk[0].report.clone(),
-            sm: chunk[1].report.clone(),
-            nr: chunk[2].report.clone(),
-            nuba: chunk[3].report.clone(),
-        })
-        .collect();
-
-    writeln!(
-        w,
-        "## Figure 7 — NUBA speedup over memory-side UBA (iso 1.4 TB/s NoC)\n"
-    )
-    .unwrap();
-    writeln!(w, "| bench | UBA-sm | NUBA-No-Rep | NUBA | class |").unwrap();
-    writeln!(w, "|---|---|---|---|---|").unwrap();
-    let mut nuba_rows = Vec::new();
-    let mut nr_rows = Vec::new();
-    let mut sm_rows = Vec::new();
-    for m in &mains {
-        let s_sm = m.sm.speedup_over(&m.uba);
-        let s_nr = m.nr.speedup_over(&m.uba);
-        let s_nuba = m.nuba.speedup_over(&m.uba);
-        writeln!(
-            w,
-            "| {} | {} | {} | {} | {} |",
-            m.b,
-            pct(s_sm),
-            pct(s_nr),
-            pct(s_nuba),
-            m.b.spec().sharing
-        )
-        .unwrap();
-        sm_rows.push((m.b, s_sm));
-        nr_rows.push((m.b, s_nr));
-        nuba_rows.push((m.b, s_nuba));
-    }
-    let cm = class_means(&nuba_rows);
-    let cn = class_means(&nr_rows);
-    let cs = class_means(&sm_rows);
-    let max = nuba_rows.iter().map(|&(_, s)| s).fold(f64::MIN, f64::max);
-    writeln!(w, "\n| series | paper | measured |").unwrap();
-    writeln!(w, "|---|---|---|").unwrap();
-    writeln!(w, "| NUBA, low-sharing | +30.4% | {} |", pct(cm.low)).unwrap();
-    writeln!(w, "| NUBA, high-sharing | +15.1% | {} |", pct(cm.high)).unwrap();
-    writeln!(w, "| NUBA, overall | +23.1% | {} |", pct(cm.all)).unwrap();
-    writeln!(w, "| NUBA, max | +183.9% | {} |", pct(max)).unwrap();
-    writeln!(
-        w,
-        "| NUBA-No-Rep, overall | (between UBA and NUBA) | {} |",
-        pct(cn.all)
-    )
-    .unwrap();
-    writeln!(w, "| SM-side UBA, overall | +1.0% | {} |\n", pct(cs.all)).unwrap();
-
-    writeln!(w, "## Figure 8 — perceived bandwidth (replies/cycle)\n").unwrap();
-    let mut gains = Vec::new();
-    let mut gains_low = Vec::new();
-    let mut gains_high = Vec::new();
-    writeln!(w, "| bench | UBA | NUBA-No-Rep | NUBA | gain |").unwrap();
-    writeln!(w, "|---|---|---|---|---|").unwrap();
-    for m in &mains {
-        let g = m.nuba.replies_per_cycle() / m.uba.replies_per_cycle().max(1e-9);
-        writeln!(
-            w,
-            "| {} | {:.2} | {:.2} | {:.2} | {} |",
-            m.b,
-            m.uba.replies_per_cycle(),
-            m.nr.replies_per_cycle(),
-            m.nuba.replies_per_cycle(),
-            pct(g)
-        )
-        .unwrap();
-        gains.push(g);
-        if m.b.spec().sharing.is_high() {
-            gains_high.push(g);
-        } else {
-            gains_low.push(g);
-        }
-    }
-    writeln!(w, "\n| series | paper | measured |").unwrap();
-    writeln!(w, "|---|---|---|").unwrap();
-    writeln!(
-        w,
-        "| low-sharing | +51.7% | {} |",
-        pct(harmonic_mean_speedup(&gains_low))
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| high-sharing | +24.7% | {} |",
-        pct(harmonic_mean_speedup(&gains_high))
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| overall | +38.9% | {} |\n",
-        pct(harmonic_mean_speedup(&gains))
-    )
-    .unwrap();
-
-    writeln!(w, "## Figure 9 — L1 miss breakdown (local fraction)\n").unwrap();
-    writeln!(w, "| bench | UBA | NUBA-No-Rep | NUBA | replica fills |").unwrap();
-    writeln!(w, "|---|---|---|---|---|").unwrap();
-    let mut local_w = 0.0;
-    let mut miss_w = 0u64;
-    for m in &mains {
-        writeln!(
-            w,
-            "| {} | 0.00 | {:.2} | {:.2} | {} |",
-            m.b,
-            m.nr.local_miss_fraction(),
-            m.nuba.local_miss_fraction(),
-            m.nuba.replica_fills
-        )
-        .unwrap();
-        let misses = m.nuba.local_misses + m.nuba.remote_misses;
-        local_w += m.nuba.local_miss_fraction() * misses as f64;
-        miss_w += misses;
-    }
-    writeln!(
-        w,
-        "\nPaper: 63.9% of all L1 misses become local. Measured: {:.1}%.\n",
-        100.0 * local_w / miss_w.max(1) as f64
-    )
-    .unwrap();
-
-    writeln!(w, "## Figure 13 — energy: NoC vs rest of GPU\n").unwrap();
-    let mut noc_uba = 0.0;
-    let mut noc_nuba = 0.0;
-    let mut noc_sm = 0.0;
-    let mut tot_uba = 0.0;
-    let mut tot_nuba = 0.0;
-    let mut tot_sm = 0.0;
-    for m in &mains {
-        // Energy per unit of work so runs of equal length compare fairly.
-        let per = |r: &SimReport| {
-            (
-                r.energy.noc_j / r.warp_ops.max(1) as f64,
-                r.energy.total_j() / r.warp_ops.max(1) as f64,
-            )
-        };
-        let (nu, tu) = per(&m.uba);
-        let (nn, tn) = per(&m.nuba);
-        let (ns, ts) = per(&m.sm);
-        noc_uba += nu;
-        noc_nuba += nn;
-        noc_sm += ns;
-        tot_uba += tu;
-        tot_nuba += tn;
-        tot_sm += ts;
-    }
-    writeln!(w, "| metric | paper | measured |").unwrap();
-    writeln!(w, "|---|---|---|").unwrap();
-    writeln!(
-        w,
-        "| NUBA NoC-energy reduction | 54.5% | {:.1}% |",
-        100.0 * (1.0 - noc_nuba / noc_uba)
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| NUBA total-energy reduction | 16.0% | {:.1}% |",
-        100.0 * (1.0 - tot_nuba / tot_uba)
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| SM-side NoC-energy reduction | 25.9% | {:.1}% |",
-        100.0 * (1.0 - noc_sm / noc_uba)
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| SM-side total-energy reduction | 2.9% | {:.1}% |\n",
-        100.0 * (1.0 - tot_sm / tot_uba)
-    )
-    .unwrap();
-
-    // ---------------- Figure 10 ----------------
-    eprintln!("[3/9] Figure 10 ...");
-    writeln!(
-        w,
-        "## Figure 10 — performance vs NoC power across NoC bandwidths\n"
-    )
-    .unwrap();
-    let sweep = sweep_benchmarks();
-    let archs = [ArchKind::MemSideUba, ArchKind::SmSideUba, ArchKind::Nuba];
-    let widths = [0.7, 1.4, 2.8, 5.6];
-    let mut f10_jobs: Vec<Job> = sweep
-        .iter()
-        .map(|&b| {
-            Job::new(
-                b.to_string(),
-                b,
-                GpuConfig::paper_baseline(ArchKind::MemSideUba).with_noc_tbs(1.4),
-            )
-        })
-        .collect();
-    for arch in archs {
-        for tbs in widths {
-            let cfg = GpuConfig::paper_baseline(arch).with_noc_tbs(tbs);
-            for &b in &sweep {
-                f10_jobs.push(Job::new(format!("{b}@{tbs}"), b, cfg.clone()));
-            }
-        }
-    }
-    let f10 = mat(&f10_jobs);
-    let (bases, f10_points) = f10.split_at(sweep.len());
-    writeln!(w, "| arch | NoC TB/s | perf vs UBA@1.4 | NoC watts |").unwrap();
-    writeln!(w, "|---|---|---|---|").unwrap();
-    let mut pts = Vec::new();
-    for (k, &arch) in archs.iter().enumerate() {
-        for (j, &tbs) in widths.iter().enumerate() {
-            let chunk = &f10_points[(k * widths.len() + j) * sweep.len()..][..sweep.len()];
-            let mut speedups = Vec::new();
-            let mut watts = 0.0;
-            for (i, res) in chunk.iter().enumerate() {
-                speedups.push(res.report.speedup_over(&bases[i].report));
-                watts += res.report.noc_watts;
-            }
-            let s = harmonic_mean_speedup(&speedups);
-            let p = watts / sweep.len() as f64;
-            writeln!(w, "| {} | {tbs} | {} | {p:.1} |", arch.label(), pct(s)).unwrap();
-            pts.push((arch, tbs, s, p));
-        }
-    }
-    let get = |a: ArchKind, t: f64| {
-        pts.iter()
-            .find(|(x, y, _, _)| *x == a && (*y - t).abs() < 1e-9)
-            .unwrap()
-    };
-    let n07 = get(ArchKind::Nuba, 0.7);
-    let u56 = get(ArchKind::MemSideUba, 5.6);
-    let s56 = get(ArchKind::SmSideUba, 5.6);
-    let u14 = get(ArchKind::MemSideUba, 1.4);
-    writeln!(w, "\n| trade-off | paper | measured |").unwrap();
-    writeln!(w, "|---|---|---|").unwrap();
-    writeln!(
-        w,
-        "| NUBA@0.7 vs UBA-mem@5.6 NoC power | 12.1× lower | {:.1}× lower (perf {} vs {}) |",
-        u56.3 / n07.3,
-        pct(n07.2),
-        pct(u56.2)
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| NUBA@0.7 vs UBA-sm@5.6 NoC power | 9.4× lower | {:.1}× lower |",
-        s56.3 / n07.3
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| NUBA@0.7 vs UBA-mem@1.4 | +12.7% at 2.3× lower power | {} at {:.1}× lower power |\n",
-        pct(n07.2 / u14.2),
-        u14.3 / n07.3
-    )
-    .unwrap();
-
-    // ---------------- Figure 11 ----------------
-    eprintln!("[4/9] Figure 11 ...");
-    writeln!(
-        w,
-        "## Figure 11 — page allocation (FT / RR / LAB on NUBA-No-Rep)\n"
-    )
-    .unwrap();
-    let mk_pol = |p: PagePolicyKind| {
-        GpuConfig::paper_baseline(ArchKind::Nuba)
-            .with_replication(ReplicationKind::None)
-            .with_policy(p)
-    };
-    let f11_jobs: Vec<Job> = mains
-        .iter()
-        .flat_map(|m| {
-            [PagePolicyKind::FirstTouch, PagePolicyKind::RoundRobin]
-                .map(|p| Job::new(m.b.to_string(), m.b, mk_pol(p)))
-        })
-        .collect();
-    let f11 = mat(&f11_jobs);
-    let mut lab_ft = Vec::new();
-    let mut lab_rr = Vec::new();
-    let mut lab_uba = Vec::new();
-    writeln!(w, "| bench | FT | RR | LAB (speedups vs UBA) |").unwrap();
-    writeln!(w, "|---|---|---|---|").unwrap();
-    for (i, m) in mains.iter().enumerate() {
-        let ft = &f11[i * 2].report;
-        let rr = &f11[i * 2 + 1].report;
-        let lab = &m.nr; // LAB is the default policy
-        writeln!(
-            w,
-            "| {} | {:.2} | {:.2} | {:.2} |",
-            m.b,
-            ft.speedup_over(&m.uba),
-            rr.speedup_over(&m.uba),
-            lab.speedup_over(&m.uba)
-        )
-        .unwrap();
-        lab_ft.push((m.b, lab.perf() / ft.perf()));
-        lab_rr.push((m.b, lab.perf() / rr.perf()));
-        lab_uba.push((m.b, lab.speedup_over(&m.uba)));
-    }
-    let f = class_means(&lab_ft);
-    let r = class_means(&lab_rr);
-    let u = class_means(&lab_uba);
-    writeln!(w, "\n| series | paper | measured |").unwrap();
-    writeln!(w, "|---|---|---|").unwrap();
-    writeln!(
-        w,
-        "| LAB over FT | +88.9% | {} (high-sharing: {}) |",
-        pct(f.all),
-        pct(f.high)
-    )
-    .unwrap();
-    writeln!(w, "| LAB over RR | +14.3% | {} |", pct(r.all)).unwrap();
-    writeln!(w, "| LAB over UBA | +14.8% | {} |\n", pct(u.all)).unwrap();
-
-    // ---------------- Figure 12 ----------------
-    eprintln!("[5/9] Figure 12 ...");
-    writeln!(
-        w,
-        "## Figure 12 — replication (No-Rep / Full-Rep / MDR under LAB)\n"
-    )
-    .unwrap();
-    let mut mdr_gain = Vec::new();
-    let mut mdr_high = Vec::new();
-    writeln!(
-        w,
-        "| bench | Full-Rep vs No-Rep | MDR vs No-Rep | epochs replicating |"
-    )
-    .unwrap();
-    writeln!(w, "|---|---|---|---|").unwrap();
-    let fr_cfg2 = GpuConfig::paper_baseline(ArchKind::Nuba).with_replication(ReplicationKind::Full);
-    let f12_jobs: Vec<Job> = mains
-        .iter()
-        .map(|m| Job::new(m.b.to_string(), m.b, fr_cfg2.clone()))
-        .collect();
-    let f12 = mat(&f12_jobs);
-    for (i, m) in mains.iter().enumerate() {
-        let fr = &f12[i].report;
-        let s_fr = fr.speedup_over(&m.nr);
-        let s_mdr = m.nuba.speedup_over(&m.nr);
-        writeln!(
-            w,
-            "| {} | {} | {} | {:.0}% |",
-            m.b,
-            pct(s_fr),
-            pct(s_mdr),
-            m.nuba.mdr_replication_rate * 100.0
-        )
-        .unwrap();
-        mdr_gain.push(s_mdr);
-        if m.b.spec().sharing.is_high() {
-            mdr_high.push(s_mdr);
-        }
-    }
-    writeln!(w, "\n| series | paper | measured |").unwrap();
-    writeln!(w, "|---|---|---|").unwrap();
-    writeln!(
-        w,
-        "| MDR over No-Rep (all) | +15.1% avg, up to +183.9% | {} avg, up to {} |",
-        pct(harmonic_mean_speedup(&mdr_gain)),
-        pct(mdr_gain.iter().copied().fold(f64::MIN, f64::max))
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| MDR over No-Rep (high-sharing) | +18.4% | {} |\n",
-        pct(harmonic_mean_speedup(&mdr_high))
-    )
-    .unwrap();
-
-    // ---------------- Figure 14 ----------------
-    eprintln!("[6/9] Figure 14 ...");
-    writeln!(w, "## Figure 14 — sensitivity analyses\n").unwrap();
-    writeln!(w, "| knob | setting | paper | measured |").unwrap();
-    writeln!(w, "|---|---|---|---|").unwrap();
-    let uba0 = GpuConfig::paper_baseline(ArchKind::MemSideUba);
-    let nuba0 = GpuConfig::paper_baseline(ArchKind::Nuba);
-    let imp = |uba: &GpuConfig, nuba: &GpuConfig, scale: Option<ScaleProfile>| {
-        let jobs: Vec<Job> = sweep
-            .iter()
-            .flat_map(|&b| {
-                [uba, nuba].map(|cfg| {
-                    let job = Job::new(b.to_string(), b, cfg.clone());
-                    match scale {
-                        Some(sc) => job.with_scale(sc),
-                        None => job,
-                    }
-                })
-            })
-            .collect();
-        let s: Vec<f64> = mat(&jobs)
-            .chunks_exact(2)
-            .map(|pair| pair[1].report.speedup_over(&pair[0].report))
-            .collect();
-        harmonic_mean_speedup(&s)
-    };
-    for (factor, paper) in [(0.5, "+15.9%"), (1.0, "+23.1%"), (2.0, "+30.1%")] {
-        let s = imp(
-            &uba0.clone().scaled(factor),
-            &nuba0.clone().scaled(factor),
-            None,
-        );
-        writeln!(w, "| GPU size | {factor}× | {paper} | {} |", pct(s)).unwrap();
-    }
-    for (spp, paper) in [(1usize, "+15.1%"), (2, "+23.1%"), (4, "+41.2%")] {
-        let mut a = uba0.clone();
-        let mut n = nuba0.clone();
-        for c in [&mut a, &mut n] {
-            *c = c.clone().with_llc_slices(c.num_channels * spp);
-        }
-        let s = imp(&a, &n, None);
-        writeln!(w, "| LLC slices/partition | {spp} | {paper} | {} |", pct(s)).unwrap();
-    }
-    for (factor, paper) in [(0.5f64, "+12.9%"), (2.0, "+31.7%")] {
-        let mut a = uba0.clone();
-        let mut n = nuba0.clone();
-        for c in [&mut a, &mut n] {
-            *c = c
-                .clone()
-                .with_llc_capacity((6.0 * factor) as usize * 1024 * 1024);
-        }
-        let s = imp(&a, &n, None);
-        writeln!(w, "| LLC capacity | {factor}× | {paper} | {} |", pct(s)).unwrap();
-    }
-    let s = imp(&uba0, &nuba0, Some(ScaleProfile::huge_pages()));
-    writeln!(w, "| page size | 2 MB | +21.6% | {} |", pct(s)).unwrap();
-    let pae = uba0.clone().with_mapping(MappingKind::Pae);
-    let s = imp(&pae, &nuba0, None);
-    writeln!(w, "| UBA with PAE mapping | — | +19.7% | {} |", pct(s)).unwrap();
-    for (t, paper) in [(0.8, "+14.5%"), (0.9, "+14.8%"), (0.95, "+13.1%")] {
-        let n = nuba0
-            .clone()
-            .with_replication(ReplicationKind::None)
-            .with_policy(PagePolicyKind::Lab { threshold: t });
-        let s = imp(&uba0, &n, None);
-        writeln!(w, "| LAB threshold (No-Rep) | {t} | {paper} | {} |", pct(s)).unwrap();
-    }
-    writeln!(w).unwrap();
-
-    // ---------------- Figure 16 ----------------
-    eprintln!("[7/9] Figure 16 ...");
-    writeln!(w, "## Figure 16 — MCM-GPUs\n").unwrap();
-    let mono_u = GpuConfig::paper_baseline(ArchKind::MemSideUba).scaled(2.0);
-    let mono_n = GpuConfig::paper_baseline(ArchKind::Nuba).scaled(2.0);
-    let mcm_u = GpuConfig::paper_mcm(ArchKind::McmUba);
-    let mcm_n = GpuConfig::paper_mcm(ArchKind::McmNuba);
-    let f16_jobs: Vec<Job> = sweep
-        .iter()
-        .flat_map(|&b| {
-            [&mono_u, &mono_n, &mcm_u, &mcm_n].map(|cfg| Job::new(b.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let f16 = mat(&f16_jobs);
-    let mut mono_rows = Vec::new();
-    let mut mcm_rows = Vec::new();
-    for (i, &b) in sweep.iter().enumerate() {
-        let chunk = &f16[i * 4..i * 4 + 4];
-        mono_rows.push((b, chunk[1].report.speedup_over(&chunk[0].report)));
-        mcm_rows.push((b, chunk[3].report.speedup_over(&chunk[2].report)));
-    }
-    let mono = class_means(&mono_rows);
-    let mcm = class_means(&mcm_rows);
-    writeln!(w, "| config | paper | measured |").unwrap();
-    writeln!(w, "|---|---|---|").unwrap();
-    writeln!(
-        w,
-        "| monolithic 128-SM NUBA vs UBA | +30.1% | {} |",
-        pct(mono.all)
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| MCM 4×32-SM NUBA vs UBA | +40.0% | {} |\n",
-        pct(mcm.all)
-    )
-    .unwrap();
-
-    // ---------------- §7.6 alternatives ----------------
-    eprintln!("[8/9] §7.6 alternative policies ...");
-    writeln!(w, "## §7.6 — migration / page replication vs LAB+MDR\n").unwrap();
-    let mig_cfg = GpuConfig::paper_baseline(ArchKind::Nuba)
-        .with_policy(PagePolicyKind::Migration)
-        .with_replication(ReplicationKind::None);
-    let prep_cfg = mig_cfg.clone().with_policy(PagePolicyKind::PageReplication);
-    let alt_jobs: Vec<Job> = mains
-        .iter()
-        .flat_map(|m| [&mig_cfg, &prep_cfg].map(|cfg| Job::new(m.b.to_string(), m.b, cfg.clone())))
-        .collect();
-    let alt = mat(&alt_jobs);
-    let mut lab_rows = Vec::new();
-    let mut mig_rows = Vec::new();
-    let mut prep_rows = Vec::new();
-    for (i, m) in mains.iter().enumerate() {
-        let mg = &alt[i * 2].report;
-        let pr = &alt[i * 2 + 1].report;
-        lab_rows.push((m.b, m.nuba.speedup_over(&m.uba)));
-        mig_rows.push((m.b, mg.speedup_over(&m.uba)));
-        prep_rows.push((m.b, pr.speedup_over(&m.uba)));
-    }
-    let l = class_means(&lab_rows);
-    let mg = class_means(&mig_rows);
-    let pr = class_means(&prep_rows);
-    writeln!(w, "| policy | low-sharing | high-sharing | overall |").unwrap();
-    writeln!(w, "|---|---|---|---|").unwrap();
-    writeln!(
-        w,
-        "| LAB+MDR | {} | {} | {} |",
-        pct(l.low),
-        pct(l.high),
-        pct(l.all)
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| migration | {} | {} | {} |",
-        pct(mg.low),
-        pct(mg.high),
-        pct(mg.all)
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "| page replication | {} | {} | {} |",
-        pct(pr.low),
-        pct(pr.high),
-        pct(pr.all)
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "\nPaper: alternatives reach ~+26% on low-sharing but lose up to −80.4% \
-         (migration) / −60.1% (page replication) on high-sharing workloads.\n"
-    )
-    .unwrap();
+         roughly what factor, and where the crossovers fall.\n\n",
+        h.cycles
+    );
+    let figs = figures::render(&h, &FIGURES.iter().collect::<Vec<_>>());
+    md.push_str(&figs.md);
 
     // ---------------- Chaos drill (opt-in) ----------------
     // `NUBA_CHAOS=1` appends a sabotaged mini-matrix: one healthy job,
@@ -659,8 +53,8 @@ fn main() {
                 .with_faults(dead)
                 .with_deadline(800),
         ];
-        // Not routed through `mat`: the saboteurs must not perturb the
-        // BENCH_runner.json throughput record.
+        // A matrix of its own: the saboteurs must not perturb the
+        // figures or the BENCH_runner.json throughput record.
         let rs = run_matrix(&h, &chaos);
         assert_eq!(rs.len(), 3, "chaos matrix must complete");
         assert!(!rs[0].failed(), "healthy chaos job must succeed");
@@ -675,11 +69,9 @@ fn main() {
     }
 
     // ---------------- Known deviations ----------------
-    eprintln!("[9/9] writing EXPERIMENTS.md ...");
-    writeln!(w, "## Known deviations from the paper\n").unwrap();
-    writeln!(
-        w,
-        "1. **Full-Rep rarely *hurts*.** The paper reports −17..−19% for SC, BT, \
+    md.push_str(
+        "## Known deviations from the paper\n\n\
+         1. **Full-Rep rarely *hurts*.** The paper reports −17..−19% for SC, BT, \
          GRU and BICG under full replication; our scaled DRAM usually has enough \
          headroom to absorb the replication-induced extra misses, so these come \
          out neutral-to-positive. MDR's decision structure still tracks the \
@@ -704,13 +96,13 @@ fn main() {
          more often.\n\
          6. Magnitudes of all ratios depend on the workload-model calibration \
          described in DESIGN.md; shapes (winners, orderings, crossovers) are \
-         the reproduction target.\n"
-    )
-    .unwrap();
-    let stats = *agg.borrow();
+         the reproduction target.\n\n",
+    );
+    let stats = figs.stats;
     writeln!(
-        w,
-        "_{} jobs, {} simulated cycles; total wall-clock {:.1} minutes._",
+        md,
+        "_{} jobs submitted, {} simulated, {} simulated cycles; total wall-clock {:.1} minutes._",
+        figs.submitted,
         stats.jobs,
         stats.total_cycles,
         t0.elapsed().as_secs_f64() / 60.0

@@ -1,84 +1,8 @@
-//! §7.6 "Alternative page allocation": count-based page migration and
-//! page-granular replication versus LAB + MDR.
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{class_means, figure_header, pct, Harness};
-use nuba_types::{ArchKind, GpuConfig, PagePolicyKind, ReplicationKind};
-use nuba_workloads::BenchmarkId;
+//! §7.6: page migration and page replication versus LAB+MDR.
+//!
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header(
-        "§7.6 alternatives",
-        "Page migration / page replication vs LAB+MDR on NUBA (speedup vs UBA)",
-    );
-    let h = Harness::from_env();
-    let uba = GpuConfig::paper_baseline(ArchKind::MemSideUba);
-    let mk = |p: PagePolicyKind, r: ReplicationKind| {
-        GpuConfig::paper_baseline(ArchKind::Nuba)
-            .with_policy(p)
-            .with_replication(r)
-    };
-    let lab_mdr = mk(PagePolicyKind::lab_default(), ReplicationKind::Mdr);
-    let mig = mk(PagePolicyKind::Migration, ReplicationKind::None);
-    let prep = mk(PagePolicyKind::PageReplication, ReplicationKind::None);
-
-    let jobs: Vec<Job> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&b| {
-            [&uba, &lab_mdr, &mig, &prep].map(|cfg| Job::new(b.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let results = run_matrix(&h, &jobs);
-
-    println!(
-        "{:<8} {:>9} {:>9} {:>9} {:>7}",
-        "bench", "LAB+MDR", "MIGRATE", "PAGEREP", "class"
-    );
-    let mut lab_rows = Vec::new();
-    let mut mig_rows = Vec::new();
-    let mut prep_rows = Vec::new();
-    for (i, &b) in BenchmarkId::ALL.iter().enumerate() {
-        let base = &results[i * 4].report;
-        let l = results[i * 4 + 1].report.speedup_over(base);
-        let m = results[i * 4 + 2].report.speedup_over(base);
-        let p = results[i * 4 + 3].report.speedup_over(base);
-        println!(
-            "{:<8} {:>9.2} {:>9.2} {:>9.2} {:>7}",
-            b.to_string(),
-            l,
-            m,
-            p,
-            b.spec().sharing.to_string()
-        );
-        lab_rows.push((b, l));
-        mig_rows.push((b, m));
-        prep_rows.push((b, p));
-    }
-    let l = class_means(&lab_rows);
-    let m = class_means(&mig_rows);
-    let p = class_means(&prep_rows);
-    println!("\nHarmonic means vs UBA:");
-    println!(
-        "  LAB+MDR:    low={} high={} overall={}",
-        pct(l.low),
-        pct(l.high),
-        pct(l.all)
-    );
-    println!(
-        "  Migration:  low={} high={} overall={}",
-        pct(m.low),
-        pct(m.high),
-        pct(m.all)
-    );
-    println!(
-        "  Page repl.: low={} high={} overall={}",
-        pct(p.low),
-        pct(p.high),
-        pct(p.all)
-    );
-    println!("\nPaper: migration/replication reach ~+26% on low-sharing but degrade");
-    println!("       high-sharing by up to -80.4% (migration ping-pong) and -60.1%");
-    println!("       (page-grain cache thrashing); LAB+MDR avoids both.");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

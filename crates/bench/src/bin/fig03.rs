@@ -1,52 +1,8 @@
 //! Figure 3: memory page sharing degree per benchmark.
 //!
-//! Buckets: pages accessed by 1 SM, 2–10 SMs, 11–25 SMs, 26–64 SMs.
-
-use nuba_workloads::{sharing_buckets, BenchmarkId, ScaleProfile, Workload};
-
-fn bar(frac: f64) -> String {
-    let n = (frac * 24.0).round() as usize;
-    "#".repeat(n)
-}
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    nuba_bench::figure_header("Figure 3", "Memory page sharing degree");
-    println!(
-        "{:<8} {:>6} {:>6} {:>6} {:>6}   distribution (1 SM | shared)",
-        "bench", "1", "2-10", "11-25", "26-64"
-    );
-    let num_sms = 64;
-    for &b in BenchmarkId::ALL {
-        let wl = Workload::build(b, ScaleProfile::default(), num_sms, 42);
-        let p = sharing_buckets(wl.layout(), num_sms);
-        println!(
-            "{:<8} {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}%   {}|{}",
-            b.to_string(),
-            p.buckets[0] * 100.0,
-            p.buckets[1] * 100.0,
-            p.buckets[2] * 100.0,
-            p.buckets[3] * 100.0,
-            bar(p.buckets[0]),
-            bar(p.shared_fraction()),
-        );
-    }
-    println!("\nClassification check (layout vs Table 2):");
-    let mut ok = 0;
-    for &b in BenchmarkId::ALL {
-        let wl = Workload::build(b, ScaleProfile::default(), num_sms, 42);
-        let p = sharing_buckets(wl.layout(), num_sms);
-        if p.classify() == b.spec().sharing {
-            ok += 1;
-        } else {
-            println!(
-                "  MISMATCH: {b} profiled {:?}, Table 2 says {:?}",
-                p.classify(),
-                b.spec().sharing
-            );
-        }
-    }
-    println!(
-        "  {ok}/{} benchmarks match their Table 2 class",
-        BenchmarkId::ALL.len()
-    );
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

@@ -1,86 +1,9 @@
-//! Figure 7: performance improvement of NUBA and NUBA-No-Rep over the
-//! memory-side UBA baseline (iso-resource, 1.4 TB/s NoC), with the
-//! SM-side UBA for reference.
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{class_means, figure_header, main_configs, pct, Harness};
-use nuba_workloads::BenchmarkId;
+//! Figure 7: NUBA and NUBA-No-Rep speedup over memory-side UBA
+//! (iso-resource 1.4 TB/s NoC), SM-side UBA for reference.
+//!
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header(
-        "Figure 7",
-        "Performance improvement of NUBA over UBA (iso-resource 1.4 TB/s NoC)",
-    );
-    let h = Harness::from_env();
-    let [(_, uba_cfg), (_, sm_cfg), (_, nr_cfg), (_, nuba_cfg)] = main_configs();
-
-    let jobs: Vec<Job> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&b| {
-            [&uba_cfg, &sm_cfg, &nr_cfg, &nuba_cfg]
-                .map(|cfg| Job::new(b.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let results = run_matrix(&h, &jobs);
-
-    println!(
-        "{:<8} {:>10} {:>12} {:>10} {:>10}",
-        "bench", "UBA-sm", "NUBA-No-Rep", "NUBA", "class"
-    );
-    let mut nr_rows = Vec::new();
-    let mut nuba_rows = Vec::new();
-    let mut sm_rows = Vec::new();
-    for (i, &b) in BenchmarkId::ALL.iter().enumerate() {
-        let base = &results[i * 4].report;
-        let sm = results[i * 4 + 1].report.speedup_over(base);
-        let nr = results[i * 4 + 2].report.speedup_over(base);
-        let nuba = results[i * 4 + 3].report.speedup_over(base);
-        println!(
-            "{:<8} {:>10} {:>12} {:>10} {:>10}",
-            b.to_string(),
-            pct(sm),
-            pct(nr),
-            pct(nuba),
-            b.spec().sharing.to_string()
-        );
-        sm_rows.push((b, sm));
-        nr_rows.push((b, nr));
-        nuba_rows.push((b, nuba));
-    }
-
-    let nuba_m = class_means(&nuba_rows);
-    let nr_m = class_means(&nr_rows);
-    let sm_m = class_means(&sm_rows);
-    println!("\nHarmonic-mean improvement over memory-side UBA:");
-    println!(
-        "  NUBA        low={} high={} overall={}",
-        pct(nuba_m.low),
-        pct(nuba_m.high),
-        pct(nuba_m.all)
-    );
-    println!(
-        "  NUBA-No-Rep low={} high={} overall={}",
-        pct(nr_m.low),
-        pct(nr_m.high),
-        pct(nr_m.all)
-    );
-    println!(
-        "  SM-side UBA low={} high={} overall={}",
-        pct(sm_m.low),
-        pct(sm_m.high),
-        pct(sm_m.all)
-    );
-    let max = nuba_rows.iter().map(|&(_, s)| s).fold(f64::MIN, f64::max);
-    println!("  NUBA max improvement: {}", pct(max));
-
-    println!("\nNUBA improvement over UBA (%):");
-    let bars: Vec<(String, f64)> = nuba_rows
-        .iter()
-        .map(|(b, s)| (b.to_string(), (s - 1.0) * 100.0))
-        .collect();
-    println!("{}", nuba_bench::chart::series(&bars, 40));
-    println!("\nPaper: NUBA +30.4% low / +15.1% high / +23.1% overall (max +183.9%);");
-    println!("       SM-side UBA ≈ +1.0% over memory-side.");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

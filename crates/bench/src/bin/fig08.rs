@@ -1,62 +1,8 @@
-//! Figure 8: memory bandwidth perceived by the SMs (read replies per
-//! cycle) under UBA, NUBA-No-Rep and NUBA.
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{figure_header, main_configs, pct, Harness};
-use nuba_types::harmonic_mean_speedup;
-use nuba_workloads::{BenchmarkId, SharingClass};
+//! Figure 8: memory bandwidth perceived by the SMs (replies/cycle).
+//!
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header("Figure 8", "Perceived memory bandwidth (replies/cycle)");
-    let h = Harness::from_env();
-    let [(_, uba_cfg), _, (_, nr_cfg), (_, nuba_cfg)] = main_configs();
-
-    let jobs: Vec<Job> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&b| {
-            [&uba_cfg, &nr_cfg, &nuba_cfg].map(|cfg| Job::new(b.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let results = run_matrix(&h, &jobs);
-
-    println!(
-        "{:<8} {:>8} {:>12} {:>8} {:>9}",
-        "bench", "UBA", "NUBA-No-Rep", "NUBA", "NUBA/UBA"
-    );
-    let mut gains_low = Vec::new();
-    let mut gains_high = Vec::new();
-    for (i, &b) in BenchmarkId::ALL.iter().enumerate() {
-        let base = &results[i * 3].report;
-        let nr = &results[i * 3 + 1].report;
-        let nuba = &results[i * 3 + 2].report;
-        let ratio = nuba.replies_per_cycle() / base.replies_per_cycle().max(1e-9);
-        println!(
-            "{:<8} {:>8.2} {:>12.2} {:>8.2} {:>9}",
-            b.to_string(),
-            base.replies_per_cycle(),
-            nr.replies_per_cycle(),
-            nuba.replies_per_cycle(),
-            pct(ratio)
-        );
-        if b.spec().sharing == SharingClass::Low {
-            gains_low.push(ratio);
-        } else {
-            gains_high.push(ratio);
-        }
-    }
-    println!(
-        "\nPerceived-bandwidth gain (hmean): low={} high={} overall={}",
-        pct(harmonic_mean_speedup(&gains_low)),
-        pct(harmonic_mean_speedup(&gains_high)),
-        pct(harmonic_mean_speedup(
-            &gains_low
-                .iter()
-                .chain(&gains_high)
-                .copied()
-                .collect::<Vec<_>>()
-        ))
-    );
-    println!("Paper: +51.7% low / +24.7% high / +38.9% overall.");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

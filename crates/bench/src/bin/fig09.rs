@@ -1,50 +1,8 @@
-//! Figure 9: L1 miss breakdown — local vs remote service.
+//! Figure 9: L1 miss breakdown, local vs remote service.
 //!
-//! Under UBA every L1 miss crosses the NoC (remote); NUBA turns most
-//! misses into local point-to-point accesses, and MDR converts remote
-//! read-only shared accesses into local replica hits on top.
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{figure_header, main_configs, Harness};
-use nuba_workloads::BenchmarkId;
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header("Figure 9", "L1 miss breakdown (fraction serviced locally)");
-    let h = Harness::from_env();
-    let [_, _, (_, nr_cfg), (_, nuba_cfg)] = main_configs();
-
-    let jobs: Vec<Job> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&b| [&nr_cfg, &nuba_cfg].map(|cfg| Job::new(b.to_string(), b, cfg.clone())))
-        .collect();
-    let results = run_matrix(&h, &jobs);
-
-    println!(
-        "{:<8} {:>6} {:>12} {:>8} {:>12}",
-        "bench", "UBA", "NUBA-No-Rep", "NUBA", "replica fills"
-    );
-    let mut weighted_local = 0.0;
-    let mut total_misses = 0u64;
-    for (i, &b) in BenchmarkId::ALL.iter().enumerate() {
-        let nr = &results[i * 2].report;
-        let nuba = &results[i * 2 + 1].report;
-        println!(
-            "{:<8} {:>6.2} {:>12.2} {:>8.2} {:>12}",
-            b.to_string(),
-            0.0, // UBA: all misses are remote by construction
-            nr.local_miss_fraction(),
-            nuba.local_miss_fraction(),
-            nuba.replica_fills
-        );
-        let misses = nuba.local_misses + nuba.remote_misses;
-        weighted_local += nuba.local_miss_fraction() * misses as f64;
-        total_misses += misses;
-    }
-    println!(
-        "\nOverall, {:.1}% of L1 misses are serviced locally under NUBA.",
-        100.0 * weighted_local / total_misses.max(1) as f64
-    );
-    println!("Paper: 63.9% of L1 misses turn into local accesses.");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

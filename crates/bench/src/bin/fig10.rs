@@ -1,106 +1,8 @@
 //! Figure 10: performance versus NoC power across NoC bandwidths.
 //!
-//! The paper's three headline trade-offs:
-//! 1. iso-NoC (1.4 TB/s): NUBA wins on performance;
-//! 2. NUBA @ 700 GB/s ≈ UBA @ 5.6 TB/s performance at ~an order of
-//!    magnitude lower NoC power;
-//! 3. NUBA @ 700 GB/s beats UBA @ 1.4 TB/s on both axes.
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{figure_header, pct, sweep_benchmarks, Harness};
-use nuba_types::{harmonic_mean_speedup, ArchKind, GpuConfig, ReplicationKind};
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header(
-        "Figure 10",
-        "Performance vs NoC power across NoC bandwidths",
-    );
-    let h = Harness::from_env();
-    let benches = sweep_benchmarks();
-
-    let base_cfg = GpuConfig::paper_baseline(ArchKind::MemSideUba).with_noc_tbs(1.4);
-    println!("(speedups vs memory-side UBA @ 1.4 TB/s; NoC watts averaged over runs)");
-    println!(
-        "{:<10} {:>8} {:>12} {:>12}",
-        "arch", "NoC TB/s", "perf", "NoC watts"
-    );
-
-    // One matrix: per-benchmark baselines first, then every
-    // (arch, bandwidth) point over the sweep set.
-    let archs = [ArchKind::MemSideUba, ArchKind::SmSideUba, ArchKind::Nuba];
-    let widths = [0.7, 1.4, 2.8, 5.6];
-    let mut jobs: Vec<Job> = benches
-        .iter()
-        .map(|&b| Job::new(b.to_string(), b, base_cfg.clone()))
-        .collect();
-    for arch in archs {
-        for tbs in widths {
-            let cfg = if arch == ArchKind::Nuba {
-                GpuConfig::paper_baseline(arch)
-                    .with_noc_tbs(tbs)
-                    .with_replication(ReplicationKind::Mdr)
-            } else {
-                GpuConfig::paper_baseline(arch).with_noc_tbs(tbs)
-            };
-            for &b in &benches {
-                jobs.push(Job::new(format!("{b}@{tbs}"), b, cfg.clone()));
-            }
-        }
-    }
-    let all = run_matrix(&h, &jobs);
-    let (baselines, points) = all.split_at(benches.len());
-
-    let mut results: Vec<(String, f64, f64, f64)> = Vec::new();
-    for (k, arch) in archs.iter().enumerate() {
-        for (j, &tbs) in widths.iter().enumerate() {
-            let chunk = &points[(k * widths.len() + j) * benches.len()..][..benches.len()];
-            let mut speedups = Vec::new();
-            let mut watts = 0.0;
-            for (i, res) in chunk.iter().enumerate() {
-                speedups.push(res.report.speedup_over(&baselines[i].report));
-                watts += res.report.noc_watts;
-            }
-            let s = harmonic_mean_speedup(&speedups);
-            let w = watts / benches.len() as f64;
-            println!(
-                "{:<10} {:>8.1} {:>12} {:>12.1}",
-                arch.label(),
-                tbs,
-                pct(s),
-                w
-            );
-            results.push((arch.label().to_string(), tbs, s, w));
-        }
-    }
-
-    let find = |label: &str, tbs: f64| {
-        results
-            .iter()
-            .find(|(l, t, _, _)| l == label && (*t - tbs).abs() < 1e-9)
-            .expect("present")
-    };
-    let nuba_07 = find("NUBA", 0.7);
-    let uba_56 = find("UBA-mem", 5.6);
-    let uba_14 = find("UBA-mem", 1.4);
-    let smuba_56 = find("UBA-sm", 5.6);
-    println!("\nHeadline trade-offs:");
-    println!(
-        "  NUBA@0.7 vs UBA-mem@5.6: perf {} vs {}, NoC power {:.1}x lower",
-        pct(nuba_07.2),
-        pct(uba_56.2),
-        uba_56.3 / nuba_07.3
-    );
-    println!(
-        "  NUBA@0.7 vs UBA-sm@5.6:  NoC power {:.1}x lower",
-        smuba_56.3 / nuba_07.3
-    );
-    println!(
-        "  NUBA@0.7 vs UBA-mem@1.4: {} faster at {:.1}x lower NoC power",
-        pct(nuba_07.2 / uba_14.2),
-        uba_14.3 / nuba_07.3
-    );
-    println!("\nPaper: 12.1x / 9.4x power reduction at similar performance;");
-    println!("       +12.7% / +11.3% at 2.3x / 1.6x lower power.");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

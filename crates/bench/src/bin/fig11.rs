@@ -1,85 +1,8 @@
-//! Figure 11: the impact of page allocation on NUBA performance —
-//! first-touch (FT) vs round-robin (RR) vs Local-And-Balanced (LAB).
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{class_means, figure_header, pct, Harness};
-use nuba_types::{ArchKind, GpuConfig, PagePolicyKind, ReplicationKind};
-use nuba_workloads::BenchmarkId;
+//! Figure 11: page allocation on NUBA-No-Rep (FT / RR / LAB).
+//!
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header(
-        "Figure 11",
-        "Page allocation policy on NUBA (speedup vs UBA)",
-    );
-    let h = Harness::from_env();
-    let uba = GpuConfig::paper_baseline(ArchKind::MemSideUba);
-    let mk = |p: PagePolicyKind| {
-        GpuConfig::paper_baseline(ArchKind::Nuba)
-            .with_replication(ReplicationKind::None)
-            .with_policy(p)
-    };
-    let ft_cfg = mk(PagePolicyKind::FirstTouch);
-    let rr_cfg = mk(PagePolicyKind::RoundRobin);
-    let lab_cfg = mk(PagePolicyKind::lab_default());
-
-    let jobs: Vec<Job> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&b| {
-            [&uba, &ft_cfg, &rr_cfg, &lab_cfg].map(|cfg| Job::new(b.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let results = run_matrix(&h, &jobs);
-
-    println!(
-        "{:<8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}",
-        "bench", "FT", "RR", "LAB", "LAB/FT", "LAB/RR", "FT imbal"
-    );
-    let mut lab_rows = Vec::new();
-    let mut lab_ft = Vec::new();
-    let mut lab_rr = Vec::new();
-    for (i, &b) in BenchmarkId::ALL.iter().enumerate() {
-        let base = &results[i * 4].report;
-        let ft_r = &results[i * 4 + 1].report;
-        let ft = ft_r.speedup_over(base);
-        let rr = results[i * 4 + 2].report.speedup_over(base);
-        let lab = results[i * 4 + 3].report.speedup_over(base);
-        println!(
-            "{:<8} {:>8.2} {:>8.2} {:>8.2} {:>9} {:>9} {:>8.1}x",
-            b.to_string(),
-            ft,
-            rr,
-            lab,
-            pct(lab / ft),
-            pct(lab / rr),
-            ft_r.channel_imbalance
-        );
-        lab_rows.push((b, lab));
-        lab_ft.push((b, lab / ft));
-        lab_rr.push((b, lab / rr));
-    }
-    let m = class_means(&lab_rows);
-    let mf = class_means(&lab_ft);
-    let mr = class_means(&lab_rr);
-    println!(
-        "\nLAB vs UBA (hmean): low={} high={} overall={}",
-        pct(m.low),
-        pct(m.high),
-        pct(m.all)
-    );
-    println!(
-        "LAB over FT: low={} high={} overall={}",
-        pct(mf.low),
-        pct(mf.high),
-        pct(mf.all)
-    );
-    println!(
-        "LAB over RR: low={} high={} overall={}",
-        pct(mr.low),
-        pct(mr.high),
-        pct(mr.all)
-    );
-    println!("\nPaper: LAB +88.9% over FT, +14.3% over RR, +14.8% over UBA overall;");
-    println!("       FT collapses on high-sharing, RR wastes low-sharing locality.");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

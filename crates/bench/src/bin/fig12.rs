@@ -1,64 +1,8 @@
-//! Figure 12: the impact of data replication on NUBA performance —
-//! No-Rep vs Full-Rep vs Model-Driven Replication (all under LAB).
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{figure_header, pct, Harness};
-use nuba_types::{harmonic_mean_speedup, ArchKind, GpuConfig, ReplicationKind};
-use nuba_workloads::{BenchmarkId, SharingClass};
+//! Figure 12: data replication on NUBA (No-Rep / Full-Rep / MDR).
+//!
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header(
-        "Figure 12",
-        "Data replication policy on NUBA (speedup vs No-Rep)",
-    );
-    let h = Harness::from_env();
-    let mk = |r: ReplicationKind| GpuConfig::paper_baseline(ArchKind::Nuba).with_replication(r);
-    let nr_cfg = mk(ReplicationKind::None);
-    let fr_cfg = mk(ReplicationKind::Full);
-    let mdr_cfg = mk(ReplicationKind::Mdr);
-
-    let jobs: Vec<Job> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&b| {
-            [&nr_cfg, &fr_cfg, &mdr_cfg].map(|cfg| Job::new(b.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let results = run_matrix(&h, &jobs);
-
-    println!(
-        "{:<8} {:>9} {:>9} {:>7} {:>8} {:>9}",
-        "bench", "Full-Rep", "MDR", "mdr-on", "llc(FR)", "llc(MDR)"
-    );
-    let mut mdr_gains = Vec::new();
-    let mut high_gains = Vec::new();
-    for (i, &b) in BenchmarkId::ALL.iter().enumerate() {
-        let nr = &results[i * 3].report;
-        let fr = &results[i * 3 + 1].report;
-        let mdr = &results[i * 3 + 2].report;
-        let s_fr = fr.speedup_over(nr);
-        let s_mdr = mdr.speedup_over(nr);
-        println!(
-            "{:<8} {:>9} {:>9} {:>6.0}% {:>8.2} {:>9.2}",
-            b.to_string(),
-            pct(s_fr),
-            pct(s_mdr),
-            mdr.mdr_replication_rate * 100.0,
-            fr.llc_hit_rate(),
-            mdr.llc_hit_rate()
-        );
-        mdr_gains.push(s_mdr);
-        if b.spec().sharing == SharingClass::High {
-            high_gains.push(s_mdr);
-        }
-    }
-    println!(
-        "\nMDR over No-Rep (hmean): overall={} high-sharing={}",
-        pct(harmonic_mean_speedup(&mdr_gains)),
-        pct(harmonic_mean_speedup(&high_gains))
-    );
-    println!("\nPaper: Full-Rep helps 2MM +189.9% / AN +75.1% / SN +72.0% / RN +33.9%");
-    println!("       but hurts SC -17.9% / BT -18.6% / GRU -18.3% / BICG -16.5%;");
-    println!("       MDR picks the winner per epoch: +15.1% on average, up to +183.9%.");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

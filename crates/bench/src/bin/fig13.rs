@@ -1,93 +1,8 @@
-//! Figure 13: normalized GPU energy — NoC versus the rest of the GPU.
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{figure_header, main_configs, Harness};
-use nuba_workloads::BenchmarkId;
+//! Figure 13: GPU energy, NoC versus the rest of the GPU.
+//!
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header("Figure 13", "GPU energy: NoC vs rest, normalized to UBA");
-    let h = Harness::from_env();
-    let [(_, uba_cfg), (_, sm_cfg), _, (_, nuba_cfg)] = main_configs();
-
-    let jobs: Vec<Job> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&b| {
-            [&uba_cfg, &sm_cfg, &nuba_cfg].map(|cfg| Job::new(b.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let results = run_matrix(&h, &jobs);
-
-    println!(
-        "{:<8} {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9}",
-        "bench", "UBA noc", "UBA rest", "SM noc", "SM rest", "NUBA noc", "NUBA rest"
-    );
-    let mut sums = [0.0f64; 6];
-    let mut totals = (0.0f64, 0.0f64, 0.0f64);
-    for (i, &b) in BenchmarkId::ALL.iter().enumerate() {
-        let base = &results[i * 3].report;
-        let sm = &results[i * 3 + 1].report;
-        let nuba = &results[i * 3 + 2].report;
-        // Energy per completed warp-op, normalized to UBA's total.
-        let norm = |r: &nuba_core::SimReport| {
-            let per_op = r.warp_ops.max(1) as f64;
-            (r.energy.noc_j / per_op, r.energy.rest_j / per_op)
-        };
-        let (un, ur) = norm(base);
-        let scale = un + ur;
-        let (sn, sr) = norm(sm);
-        let (nn, nr) = norm(nuba);
-        let row = [
-            un / scale,
-            ur / scale,
-            sn / scale,
-            sr / scale,
-            nn / scale,
-            nr / scale,
-        ];
-        println!(
-            "{:<8} {:>9.3} {:>9.3} | {:>9.3} {:>9.3} | {:>9.3} {:>9.3}",
-            b.to_string(),
-            row[0],
-            row[1],
-            row[2],
-            row[3],
-            row[4],
-            row[5]
-        );
-        for (s, v) in sums.iter_mut().zip(row) {
-            *s += v;
-        }
-        totals.0 += row[0] + row[1];
-        totals.1 += row[2] + row[3];
-        totals.2 += row[4] + row[5];
-    }
-    let n = BenchmarkId::ALL.len() as f64;
-    println!("\nAverages (energy per unit work, UBA = 1.0):");
-    println!(
-        "  UBA    : noc={:.3} rest={:.3} total={:.3}",
-        sums[0] / n,
-        sums[1] / n,
-        totals.0 / n
-    );
-    println!(
-        "  UBA-sm : noc={:.3} rest={:.3} total={:.3}",
-        sums[2] / n,
-        sums[3] / n,
-        totals.1 / n
-    );
-    println!(
-        "  NUBA   : noc={:.3} rest={:.3} total={:.3}",
-        sums[4] / n,
-        sums[5] / n,
-        totals.2 / n
-    );
-    println!(
-        "  NUBA NoC energy reduction: {:.1}%; total GPU energy reduction: {:.1}%",
-        100.0 * (1.0 - (sums[4] / sums[0])),
-        100.0 * (1.0 - totals.2 / totals.0)
-    );
-    println!("\nPaper: NUBA cuts NoC energy 54.5% and total GPU energy 16.0% vs UBA;");
-    println!("       SM-side UBA cuts NoC energy 25.9% and total energy 2.9%.");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

@@ -1,129 +1,9 @@
-//! Figure 14: sensitivity analyses — GPU size, partition shape, LLC
-//! capacity, page size, address mapping, LAB threshold.
+//! Figure 14: sensitivity analyses (GPU size, LLC shape and capacity,
+//! page size, address mapping, LAB threshold).
 //!
-//! Each point reports NUBA's harmonic-mean improvement over the
-//! equally-configured memory-side UBA, over the sweep benchmark set
-//! (set `NUBA_FULL=1` for all 29 benchmarks).
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{figure_header, pct, sweep_benchmarks, Harness};
-use nuba_types::{harmonic_mean_speedup, ArchKind, GpuConfig, MappingKind, PagePolicyKind};
-use nuba_workloads::{BenchmarkId, ScaleProfile};
-
-fn improvement(
-    h: &Harness,
-    benches: &[BenchmarkId],
-    uba: &GpuConfig,
-    nuba: &GpuConfig,
-    scale: Option<ScaleProfile>,
-) -> f64 {
-    let jobs: Vec<Job> = benches
-        .iter()
-        .flat_map(|&b| {
-            [uba, nuba].map(|cfg| {
-                let job = Job::new(b.to_string(), b, cfg.clone());
-                match scale {
-                    Some(s) => job.with_scale(s),
-                    None => job,
-                }
-            })
-        })
-        .collect();
-    let results = run_matrix(h, &jobs);
-    let speedups: Vec<f64> = results
-        .chunks_exact(2)
-        .map(|pair| pair[1].report.speedup_over(&pair[0].report))
-        .collect();
-    harmonic_mean_speedup(&speedups)
-}
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header(
-        "Figure 14",
-        "Sensitivity analyses (NUBA improvement over iso-configured UBA)",
-    );
-    let h = Harness::from_env();
-    let benches = sweep_benchmarks();
-    let uba0 = GpuConfig::paper_baseline(ArchKind::MemSideUba);
-    let nuba0 = GpuConfig::paper_baseline(ArchKind::Nuba);
-
-    // --- GPU size ---
-    println!("GPU size (2:2:1 ratio preserved):");
-    for factor in [0.5, 1.0, 2.0] {
-        let uba = uba0.clone().scaled(factor);
-        let nuba = nuba0.clone().scaled(factor);
-        let s = improvement(&h, &benches, &uba, &nuba, None);
-        println!("  {factor:>4}x ({} SMs): {}", uba.num_sms, pct(s));
-    }
-    println!("  paper: +15.9% / +23.1% / +30.1%");
-
-    // --- Partition shape: LLC slices per partition, total capacity const ---
-    println!("\nLLC slices per partition (total LLC capacity constant):");
-    for spp in [1usize, 2, 4] {
-        let mut uba = uba0.clone();
-        let mut nuba = nuba0.clone();
-        for c in [&mut uba, &mut nuba] {
-            *c = c.clone().with_llc_slices(c.num_channels * spp);
-        }
-        let s = improvement(&h, &benches, &uba, &nuba, None);
-        println!(
-            "  {spp} slice(s)/partition ({} slices): {}",
-            uba.num_llc_slices,
-            pct(s)
-        );
-    }
-    println!("  paper: +15.1% / +23.1% / +41.2%");
-
-    // --- LLC capacity ---
-    println!("\nLLC capacity:");
-    for factor in [0.5, 1.0, 2.0] {
-        let mut uba = uba0.clone();
-        let mut nuba = nuba0.clone();
-        for c in [&mut uba, &mut nuba] {
-            *c = c
-                .clone()
-                .with_llc_capacity((6.0 * factor) as usize * 1024 * 1024);
-        }
-        let s = improvement(&h, &benches, &uba, &nuba, None);
-        println!(
-            "  {factor:>4}x ({} MB): {}",
-            uba.llc_total_bytes / (1024 * 1024),
-            pct(s)
-        );
-    }
-    println!("  paper: +12.9% / +23.1% / +31.7%");
-
-    // --- Page size ---
-    println!("\nPage size:");
-    for (name, scale) in [
-        ("4 KB", ScaleProfile::default()),
-        ("2 MB", ScaleProfile::huge_pages()),
-    ] {
-        let s = improvement(&h, &benches, &uba0, &nuba0, Some(scale));
-        println!("  {name}: {}", pct(s));
-    }
-    println!("  paper: +23.1% / +21.6%");
-
-    // --- Address mapping: UBA upgraded to PAE ---
-    println!("\nUBA address mapping:");
-    let uba_pae = uba0.clone().with_mapping(MappingKind::Pae);
-    let s_fixed = improvement(&h, &benches, &uba0, &nuba0, None);
-    let s_pae = improvement(&h, &benches, &uba_pae, &nuba0, None);
-    println!("  vs fixed-channel UBA: {}", pct(s_fixed));
-    println!("  vs PAE UBA:           {}", pct(s_pae));
-    println!("  paper: +23.1% / +19.7%");
-
-    // --- LAB threshold ---
-    println!("\nLAB threshold (NUBA-No-Rep vs UBA):");
-    for t in [0.8, 0.9, 0.95] {
-        let nuba = nuba0
-            .clone()
-            .with_replication(nuba_types::ReplicationKind::None)
-            .with_policy(PagePolicyKind::Lab { threshold: t });
-        let s = improvement(&h, &benches, &uba0, &nuba, None);
-        println!("  threshold {t}: {}", pct(s));
-    }
-    println!("  paper: +14.5% / +14.8% / +13.1%");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

@@ -1,68 +1,8 @@
-//! Figure 16: NUBA in Multi-Chip-Module GPUs (§7.6).
+//! Figure 16: NUBA on MCM-GPUs versus monolithic GPUs.
 //!
-//! 128 SMs, 128 LLC slices, 64 channels over 4 modules with 720 GB/s
-//! bidirectional inter-module links; compared against a monolithic GPU
-//! of the same resources.
-
-use nuba_bench::runner::{run_matrix, Job};
-use nuba_bench::{class_means, figure_header, pct, Harness};
-use nuba_types::{ArchKind, GpuConfig};
-use nuba_workloads::BenchmarkId;
+//! Prints this figure's `EXPERIMENTS.md` section: the row of
+//! `nuba_bench::figures::FIGURES` named after this binary.
 
 fn main() {
-    figure_header(
-        "Figure 16",
-        "NUBA on MCM-GPUs vs monolithic GPUs (same resources)",
-    );
-    let h = Harness::from_env();
-
-    let mono_uba = GpuConfig::paper_baseline(ArchKind::MemSideUba).scaled(2.0);
-    let mono_nuba = GpuConfig::paper_baseline(ArchKind::Nuba).scaled(2.0);
-    let mcm_uba = GpuConfig::paper_mcm(ArchKind::McmUba);
-    let mcm_nuba = GpuConfig::paper_mcm(ArchKind::McmNuba);
-
-    let jobs: Vec<Job> = BenchmarkId::ALL
-        .iter()
-        .flat_map(|&b| {
-            [&mono_uba, &mono_nuba, &mcm_uba, &mcm_nuba]
-                .map(|cfg| Job::new(b.to_string(), b, cfg.clone()))
-        })
-        .collect();
-    let results = run_matrix(&h, &jobs);
-
-    println!(
-        "{:<8} {:>14} {:>14}",
-        "bench", "mono NUBA/UBA", "MCM NUBA/UBA"
-    );
-    let mut mono_rows = Vec::new();
-    let mut mcm_rows = Vec::new();
-    for (i, &b) in BenchmarkId::ALL.iter().enumerate() {
-        let mu = &results[i * 4].report;
-        let mn = &results[i * 4 + 1].report;
-        let cu = &results[i * 4 + 2].report;
-        let cn = &results[i * 4 + 3].report;
-        let mono = mn.speedup_over(mu);
-        let mcm = cn.speedup_over(cu);
-        println!("{:<8} {:>14} {:>14}", b.to_string(), pct(mono), pct(mcm));
-        mono_rows.push((b, mono));
-        mcm_rows.push((b, mcm));
-    }
-    let mono = class_means(&mono_rows);
-    let mcm = class_means(&mcm_rows);
-    println!(
-        "\nMonolithic 128-SM: low={} high={} overall={}",
-        pct(mono.low),
-        pct(mono.high),
-        pct(mono.all)
-    );
-    println!(
-        "MCM 4x32-SM:       low={} high={} overall={}",
-        pct(mcm.low),
-        pct(mcm.high),
-        pct(mcm.all)
-    );
-    println!("\nPaper: +30.1% monolithic vs +40.0% MCM — NUBA matters more when the");
-    println!("       inter-module links are scarcer than the on-chip NoC.");
-
-    std::process::exit(nuba_bench::runner::finish());
+    std::process::exit(nuba_bench::figures::print_row(env!("CARGO_BIN_NAME")));
 }

@@ -3,20 +3,24 @@
 
 //! # nuba-bench
 //!
-//! The experiment harness: one binary per table and figure of the
-//! paper's evaluation (see DESIGN.md §4 for the index), plus Criterion
-//! micro-benchmarks of the simulator's components.
+//! The experiment harness for the paper's evaluation (see DESIGN.md §4
+//! for the index), plus Criterion micro-benchmarks of the simulator's
+//! components.
 //!
-//! Every figure binary prints the same rows/series the paper reports.
-//! Absolute numbers come from a scaled simulator (DESIGN.md §1), so the
-//! *shape* — who wins, by roughly what factor — is the reproduction
-//! target, not the paper's exact percentages.
+//! The figures come from one table, [`figures::FIGURES`]: each row lists
+//! the jobs it needs and renders its section of `EXPERIMENTS.md`.
+//! `all_experiments` renders every row, and each figure binary prints
+//! the row its name selects. Absolute numbers come from a scaled
+//! simulator (DESIGN.md §1), so the *shape* — who wins, by roughly what
+//! factor — is the reproduction target, not the paper's exact
+//! percentages.
 //!
 //! Runtime knobs come from `NUBA_*` environment variables, all parsed
 //! once into [`HarnessOptions`] (see its fields for names and
 //! defaults, or the README's "Environment knobs" table). Results are
 //! schedule-independent regardless of `NUBA_JOBS` — see [`runner`].
 
+pub mod figures;
 pub mod obs;
 pub mod runner;
 pub mod screen;

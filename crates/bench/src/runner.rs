@@ -1,11 +1,13 @@
 //! Deterministic parallel execution of experiment matrices.
 //!
-//! Every figure binary replays an independent list of
-//! (benchmark × configuration) simulations. This module expands such a
-//! list into [`Job`]s and executes them on a [`std::thread::scope`]
-//! work-stealing pool sized by the `NUBA_JOBS` environment knob
-//! (default: available parallelism). Results come back in submission
-//! order, so callers print byte-identical output to a serial loop.
+//! A caller hands [`run_matrix`] a list of (benchmark × configuration)
+//! simulations as [`Job`]s and gets one [`JobResult`] per job back:
+//! every job is simulated, repeats included. (The figure table drops
+//! repeats before it calls in; see [`crate::figures`].) The jobs run on
+//! a [`std::thread::scope`] work-stealing pool sized by the `NUBA_JOBS`
+//! environment knob (default: available parallelism). Results come back
+//! in submission order, so callers print byte-identical output to a
+//! serial loop.
 //!
 //! Determinism: each job builds its own [`Workload`] and
 //! [`GpuSimulator`] from the job's seed. The one thing jobs share is
