@@ -206,25 +206,32 @@ fn scatter(results: &[JobResult], jobs: &[Job], idx: &[usize]) -> Vec<JobResult>
         .collect()
 }
 
-/// Write `fig`'s heading, then its body; if any of its jobs failed,
-/// one line naming them instead, since a failed job's empty report
-/// would poison the row's means.
+/// Write `fig`'s heading, then its body; if any of its jobs failed or
+/// retired no work in its window, one line naming them instead, since a
+/// zero throughput would poison the row's means.
 fn render_row(h: &Harness, fig: &Figure, rs: &[JobResult], w: &mut String) {
     writeln!(w, "## {}\n", fig.title).unwrap();
-    let failed: Vec<&str> = rs
-        .iter()
-        .filter(|r| r.failed())
-        .map(|r| r.label.as_str())
-        .collect();
-    if failed.is_empty() {
+    let labels = |unusable: fn(&JobResult) -> bool| -> Vec<&str> {
+        rs.iter()
+            .filter(|&r| unusable(r))
+            .map(|r| r.label.as_str())
+            .collect()
+    };
+    let failed = labels(JobResult::failed);
+    let idle = labels(|r| r.report.perf() == 0.0);
+    let (unusable, why) = if !failed.is_empty() {
+        (failed, "failed")
+    } else if !idle.is_empty() {
+        (idle, "retired no work in the window")
+    } else {
         return (fig.render)(h, rs, w).unwrap();
-    }
+    };
     writeln!(
         w,
-        "_Not rendered: {} of {} jobs failed ({})._\n",
-        failed.len(),
+        "_Not rendered: {} of {} jobs {why} ({})._\n",
+        unusable.len(),
         rs.len(),
-        failed.join(", ")
+        unusable.join(", ")
     )
     .unwrap();
 }
@@ -856,6 +863,35 @@ mod tests {
                 fig.title,
                 jobs.len(),
                 jobs[5].label
+            )
+        );
+    }
+
+    #[test]
+    fn a_row_with_a_job_that_retired_no_work_prints_one_line_and_does_not_panic() {
+        let h = harness();
+        let fig = FIGURES.iter().find(|f| f.id == "fig07").unwrap();
+        let jobs = (fig.jobs)(&h);
+        // Every job finished, but one retired no work in its window:
+        // fig07's means would assert on its zero speedup.
+        let mut rs: Vec<JobResult> = jobs
+            .iter()
+            .map(|j| {
+                let mut r = result(&j.label, 100);
+                r.report.warp_ops = 50;
+                r
+            })
+            .collect();
+        rs[3].report = SimReport::empty();
+        let mut md = String::new();
+        render_row(&h, fig, &rs, &mut md);
+        assert_eq!(
+            md,
+            format!(
+                "## {}\n\n_Not rendered: 1 of {} jobs retired no work in the window ({})._\n\n",
+                fig.title,
+                jobs.len(),
+                jobs[3].label
             )
         );
     }

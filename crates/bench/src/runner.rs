@@ -611,14 +611,6 @@ impl MatrixStats {
             quarantined: results.iter().filter(|r| r.failed()).count(),
         }
     }
-
-    /// Fold another matrix into this aggregate.
-    pub fn absorb(&mut self, other: MatrixStats) {
-        self.jobs += other.jobs;
-        self.cpu_seconds += other.cpu_seconds;
-        self.total_cycles += other.total_cycles;
-        self.quarantined += other.quarantined;
-    }
 }
 
 /// One run's record in `BENCH_runner.json`.

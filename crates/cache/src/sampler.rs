@@ -3,7 +3,10 @@
 //! MDR must know, each epoch, the LLC hit rate *with* and *without*
 //! replication while the slice only runs one of the two policies. The
 //! hardware keeps two shadow tag directories over a small sample of sets
-//! (8 sets × 16 ways × 24-bit tags = 384 B in the paper):
+//! (8 sets × 16 ways × 24-bit tags = 384 B in the paper). Each shadow
+//! here is a `sample_sets × ways` [`TagArray`]: sampled set `s` of the
+//! slice is shadow set `s / stride`, and the slice's other sets have no
+//! storage at all.
 //!
 //! - the **no-replication shadow** sees only accesses to lines homed at
 //!   this slice (what the slice would cache under no replication), and
@@ -36,7 +39,8 @@ pub struct SamplerEstimate {
 pub struct SetSampler {
     geo: CacheGeometry,
     stride: usize,
-    sample_sets: usize,
+    /// Both shadows hold `sample_sets × ways`: sampled set `s` of `geo`
+    /// is their set `s / stride`.
     shadow_no_rep: TagArray,
     shadow_full_rep: TagArray,
     hits_no_rep: u64,
@@ -56,12 +60,12 @@ impl SetSampler {
             sample_sets > 0 && sample_sets <= geo.sets(),
             "sample_sets must be in 1..=sets"
         );
+        let shadow = CacheGeometry::new(sample_sets, geo.ways());
         SetSampler {
             geo,
             stride: (geo.sets() / sample_sets).max(1),
-            sample_sets,
-            shadow_no_rep: TagArray::new(geo),
-            shadow_full_rep: TagArray::new(geo),
+            shadow_no_rep: TagArray::new(shadow),
+            shadow_full_rep: TagArray::new(shadow),
             hits_no_rep: 0,
             accesses_no_rep: 0,
             hits_full_rep: 0,
@@ -76,8 +80,13 @@ impl SetSampler {
     /// capped so a non-dividing `sample_sets` (where `sets / sample_sets`
     /// rounds down and extra multiples fit) never over-samples.
     pub fn sampled(&self, line: LineAddr) -> bool {
-        let set = self.geo.set_of(line);
-        set.is_multiple_of(self.stride) && set / self.stride < self.sample_sets
+        self.shadow_set(line).is_some()
+    }
+
+    /// The shadow set standing for `line`'s set, if that set is sampled.
+    fn shadow_set(&self, line: LineAddr) -> Option<usize> {
+        self.shadow_no_rep
+            .own_set(self.geo.set_of(line), self.stride)
     }
 
     /// Observe one access that reached (or would reach) this slice.
@@ -91,26 +100,25 @@ impl SetSampler {
     /// neither (e.g. a local SM's read-write remote access) never touches
     /// this slice under either policy and is ignored.
     pub fn observe(&mut self, line: LineAddr, is_home: bool, is_replica_candidate: bool) {
-        if !self.sampled(line) {
+        let Some(set) = self.shadow_set(line) else {
             return;
-        }
+        };
         self.now += 1;
-        let now = self.now;
         if is_home {
             self.accesses_no_rep += 1;
-            if self.shadow_no_rep.probe_and_touch(line, now) {
+            if self.shadow_no_rep.probe_and_touch_in(set, line) {
                 self.hits_no_rep += 1;
             } else {
-                self.shadow_no_rep.insert(line, false, false, now);
+                self.shadow_no_rep.insert_in(set, line, false, false);
             }
         }
         if is_home || is_replica_candidate {
             self.accesses_full_rep += 1;
-            if self.shadow_full_rep.probe_and_touch(line, now) {
+            if self.shadow_full_rep.probe_and_touch_in(set, line) {
                 self.hits_full_rep += 1;
             } else {
                 self.shadow_full_rep
-                    .insert(line, false, is_replica_candidate, now);
+                    .insert_in(set, line, false, is_replica_candidate);
             }
         }
     }
@@ -144,9 +152,13 @@ impl SetSampler {
 }
 
 impl SaveState for SetSampler {
+    // The shadows are written spread over the slice's full geometry,
+    // unsampled sets empty: the layout of full-size shadows, so
+    // checkpoints do not depend on how much the sampler stores.
     fn save(&self, w: &mut StateWriter) {
-        self.shadow_no_rep.save(w);
-        self.shadow_full_rep.save(w);
+        let (sets, stride) = (self.geo.sets(), self.stride);
+        self.shadow_no_rep.save_spread(w, sets, stride);
+        self.shadow_full_rep.save_spread(w, sets, stride);
         self.hits_no_rep.put(w);
         self.accesses_no_rep.put(w);
         self.hits_full_rep.put(w);
@@ -155,8 +167,9 @@ impl SaveState for SetSampler {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.shadow_no_rep.restore(r)?;
-        self.shadow_full_rep.restore(r)?;
+        let (sets, stride) = (self.geo.sets(), self.stride);
+        self.shadow_no_rep.restore_spread(r, sets, stride)?;
+        self.shadow_full_rep.restore_spread(r, sets, stride)?;
         self.hits_no_rep = u64::get(r)?;
         self.accesses_no_rep = u64::get(r)?;
         self.hits_full_rep = u64::get(r)?;
@@ -263,6 +276,38 @@ mod tests {
             s.observe(sampled_line(i), true, false);
         }
         assert_eq!(s.estimate().hit_rate_no_rep, 1.0);
+    }
+
+    /// The shadows are saved over the slice's full geometry, so a
+    /// section can decode cleanly and still put a way in a set the
+    /// sampler does not sample, which it has no storage for. Restoring
+    /// one is a typed error, whether the way is valid or an invalid way
+    /// with a stale line or stamp.
+    #[test]
+    fn a_way_in_an_unsampled_shadow_set_is_rejected() {
+        let mut s = sampler();
+        s.observe(sampled_line(0), true, false);
+        let mut w = StateWriter::new();
+        s.save(&mut w);
+        let bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| sampler().restore(&mut StateReader::new(bytes));
+        assert_eq!(restore(&bytes), Ok(()));
+        // The no-replication shadow's way count, then set 0's 16 ways of
+        // 19 bytes (valid, line, dirty, replica, last use); set 1, which
+        // stride 6 leaves unsampled, follows.
+        let set1 = 8 + 16 * 19;
+        assert_eq!(bytes[set1..set1 + 19], [0; 19]);
+        for (field, byte) in [("valid", 0), ("line", 2), ("last use", 18)] {
+            let mut bad = bytes.clone();
+            bad[set1 + byte] = 1;
+            assert_eq!(
+                restore(&bad),
+                Err(StateError::Corrupt(
+                    "tag way in a set the array does not hold"
+                )),
+                "{field}"
+            );
+        }
     }
 
     #[test]

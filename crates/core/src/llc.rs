@@ -140,8 +140,11 @@ impl LlcSlice {
             pipe: LatencyPipe::new(),
             latency: params.latency,
             out: BandwidthLink::new(params.out_bytes_per_cycle as f64, 1, 8),
-            // Pre-size the streaming queues past their steady-state peaks
-            // so slice ticks never grow a ring buffer mid-simulation.
+            // Not sized past the peaks. Over the 87 Table-2 x {UBA-mem,
+            // UBA-sm, NUBA} jobs at 20 000 cycles (seed 1) these queues
+            // peaked at 1 615, 161, 47 and 237 entries: the first three
+            // outgrow their reservations and keep the high-water mark,
+            // as the crossbar buffers do (DESIGN.md §9.3).
             ready_replies: VecDeque::with_capacity(256),
             backlog: VecDeque::with_capacity(32),
             forward: VecDeque::with_capacity(32),

@@ -1,11 +1,12 @@
 //! Host-memory footprint gate for building a machine.
 //!
 //! A counting global allocator measures the heap that
-//! `GpuSimulator::try_new` keeps for the paper's 64-SM NUBA machine on
-//! default-scale LBM. Storage sized by measured traffic (DESIGN.md §9.3)
-//! keeps that near 13 MiB; reserving any component's worst case at
-//! construction — 16 merge slots behind every MSHR entry cost 9 MiB —
-//! crosses the bound below.
+//! `GpuSimulator::try_new` keeps for the paper's 64-SM NUBA and
+//! memory-side UBA machines on default-scale LBM. Storage sized by
+//! measured traffic and by what it models (DESIGN.md §9.3) keeps that
+//! near 10 MiB; reserving any component's worst case at construction —
+//! 16 merge slots behind every MSHR entry cost 9 MiB, full-geometry MDR
+//! shadows 2.3 MiB — crosses the bound below.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -46,28 +47,32 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Heap the NUBA machine may hold right after construction.
-const BOUND_MIB: f64 = 14.0;
+/// Heap either machine may hold right after construction.
+const BOUND_MIB: f64 = 11.0;
 
 #[test]
-fn building_the_paper_machine_stays_under_its_heap_bound() {
-    // One test in this file: the counting window must not race with
-    // allocations from sibling test threads.
-    let cfg = GpuConfig::paper_baseline(ArchKind::Nuba);
-    let wl = Workload::build(
-        BenchmarkId::Lbm,
-        ScaleProfile::default(),
-        cfg.num_sms,
-        cfg.seed,
-    );
-    LIVE.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
-    COUNTING.store(false, Ordering::SeqCst);
-    let mib = LIVE.load(Ordering::SeqCst) as f64 / (1024.0 * 1024.0);
-    drop(gpu);
-    assert!(
-        mib <= BOUND_MIB,
-        "GpuSimulator::try_new holds {mib:.1} MiB of heap, over the {BOUND_MIB} MiB bound"
-    );
+fn building_the_paper_machines_stays_under_their_heap_bound() {
+    // One test in this file: the counting windows must not race with
+    // allocations from sibling test threads, so the machines are
+    // counted one after the other.
+    for arch in [ArchKind::Nuba, ArchKind::MemSideUba] {
+        let cfg = GpuConfig::paper_baseline(arch);
+        let wl = Workload::build(
+            BenchmarkId::Lbm,
+            ScaleProfile::default(),
+            cfg.num_sms,
+            cfg.seed,
+        );
+        LIVE.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        let gpu = GpuSimulator::try_new(cfg, &wl).expect("valid config");
+        COUNTING.store(false, Ordering::SeqCst);
+        let mib = LIVE.load(Ordering::SeqCst) as f64 / (1024.0 * 1024.0);
+        drop(gpu);
+        assert!(
+            mib <= BOUND_MIB,
+            "GpuSimulator::try_new holds {mib:.2} MiB of heap for {arch:?}, \
+             over the {BOUND_MIB} MiB bound"
+        );
+    }
 }

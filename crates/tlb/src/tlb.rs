@@ -2,11 +2,43 @@
 
 use nuba_types::addr::PageNum;
 
+/// One entry: the page number with `VALID` in its top bit, which no
+/// page number reaches (`GpuConfig::validate` keeps a page at least one
+/// 128 B line, so page numbers fit in 57 bits), and its recency stamp.
+/// 16 bytes.
+///
+/// An invalidated entry keeps its page; only `VALID` clears.
+/// Checkpoints carry it, so it is part of the state.
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
-    valid: bool,
-    vpage: PageNum,
+    /// `vpage | VALID`.
+    tag: u64,
     last_use: u64,
+}
+
+const VALID: u64 = 1 << 63;
+
+impl Entry {
+    fn new(vpage: PageNum, last_use: u64) -> Entry {
+        debug_assert_eq!(vpage.0 & VALID, 0, "page {vpage} uses the valid bit");
+        Entry {
+            tag: vpage.0 | VALID,
+            last_use,
+        }
+    }
+
+    fn vpage(self) -> PageNum {
+        PageNum(self.tag & !VALID)
+    }
+
+    fn valid(self) -> bool {
+        self.tag & VALID != 0
+    }
+
+    /// Valid and holding `vpage`.
+    fn holds(self, vpage: PageNum) -> bool {
+        self.tag == vpage.0 | VALID
+    }
 }
 
 /// A set-associative, LRU-replaced TLB.
@@ -53,7 +85,7 @@ impl Tlb {
         let set = self.set_of(vpage);
         let base = set * self.ways;
         for e in &mut self.entries[base..base + self.ways] {
-            if e.valid && e.vpage == vpage {
+            if e.holds(vpage) {
                 e.last_use = self.stamp;
                 self.hits += 1;
                 return true;
@@ -70,28 +102,21 @@ impl Tlb {
         let set = self.set_of(vpage);
         let base = set * self.ways;
         let ways = &mut self.entries[base..base + self.ways];
-        if let Some(e) = ways.iter_mut().find(|e| e.valid && e.vpage == vpage) {
+        if let Some(e) = ways.iter_mut().find(|e| e.holds(vpage)) {
             e.last_use = self.stamp;
             return None;
         }
-        if let Some(e) = ways.iter_mut().find(|e| !e.valid) {
-            *e = Entry {
-                valid: true,
-                vpage,
-                last_use: self.stamp,
-            };
+        let fill = Entry::new(vpage, self.stamp);
+        if let Some(e) = ways.iter_mut().find(|e| !e.valid()) {
+            *e = fill;
             return None;
         }
         let victim = ways
             .iter_mut()
             .min_by_key(|e| e.last_use)
             .expect("non-empty set");
-        let evicted = victim.vpage;
-        *victim = Entry {
-            valid: true,
-            vpage,
-            last_use: self.stamp,
-        };
+        let evicted = victim.vpage();
+        *victim = fill;
         Some(evicted)
     }
 
@@ -100,8 +125,8 @@ impl Tlb {
         let set = self.set_of(vpage);
         let base = set * self.ways;
         for e in &mut self.entries[base..base + self.ways] {
-            if e.valid && e.vpage == vpage {
-                e.valid = false;
+            if e.holds(vpage) {
+                e.tag &= !VALID;
                 return true;
             }
         }
@@ -111,7 +136,7 @@ impl Tlb {
     /// Drop every entry (kernel boundary / TLB shootdown).
     pub fn flush(&mut self) {
         for e in &mut self.entries {
-            e.valid = false;
+            e.tag &= !VALID;
         }
     }
 
@@ -138,17 +163,23 @@ impl Tlb {
 
 impl StateValue for Entry {
     fn put(&self, w: &mut StateWriter) {
-        self.valid.put(w);
-        self.vpage.put(w);
+        self.valid().put(w);
+        self.vpage().put(w);
         self.last_use.put(w);
     }
 
     fn get(r: &mut StateReader<'_>) -> Result<Self, StateError> {
-        Ok(Entry {
-            valid: bool::get(r)?,
-            vpage: PageNum::get(r)?,
-            last_use: u64::get(r)?,
-        })
+        let valid = bool::get(r)?;
+        let vpage = PageNum::get(r)?;
+        let last_use = u64::get(r)?;
+        if vpage.0 & VALID != 0 {
+            return Err(StateError::Corrupt("TLB entry page uses the valid bit"));
+        }
+        let mut entry = Entry::new(vpage, last_use);
+        if !valid {
+            entry.tag &= !VALID;
+        }
+        Ok(entry)
     }
 }
 
@@ -230,6 +261,30 @@ mod tests {
         t.insert(PageNum(1));
         t.flush();
         assert!(!t.lookup(PageNum(1)));
+    }
+
+    /// An entry can decode cleanly and still hold a page number with
+    /// its top bit set, which no page size `GpuConfig::validate` admits
+    /// produces and the packed entry would read as its valid bit.
+    /// Restoring it is a typed error.
+    #[test]
+    fn an_entry_whose_page_uses_the_valid_bit_is_rejected() {
+        let mut t = Tlb::new(2, 2);
+        t.insert(PageNum(5));
+        let mut w = StateWriter::new();
+        t.save(&mut w);
+        let bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| Tlb::new(2, 2).restore(&mut StateReader::new(bytes));
+        assert_eq!(restore(&bytes), Ok(()));
+        // The entry count, then the first entry's valid byte and page.
+        let at = 8 + 1;
+        assert_eq!(bytes[at..at + 8], 5u64.to_le_bytes());
+        let mut bad = bytes.clone();
+        bad[at..at + 8].copy_from_slice(&(5 | 1u64 << 63).to_le_bytes());
+        assert_eq!(
+            restore(&bad),
+            Err(StateError::Corrupt("TLB entry page uses the valid bit"))
+        );
     }
 
     #[test]

@@ -181,7 +181,136 @@ fn state_bytes(mmu: &TranslationEngine) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// A TLB entry as `Tlb` stored it before its valid bit moved into the
+/// page number's top bit: three fields.
+#[derive(Clone, Copy, Default)]
+struct RefEntry {
+    valid: bool,
+    vpage: PageNum,
+    last_use: u64,
+}
+
+/// The TLB over three-field entries, the reference the packed `Tlb`
+/// must agree with operation by operation and byte by byte
+/// (`state_bytes` writes what `Tlb::save` writes).
+struct RefTlb {
+    ways: usize,
+    entries: Vec<RefEntry>,
+    stamp: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl RefTlb {
+    fn set(&mut self, vpage: PageNum) -> &mut [RefEntry] {
+        let set = (vpage.0 % (self.entries.len() / self.ways) as u64) as usize;
+        &mut self.entries[set * self.ways..(set + 1) * self.ways]
+    }
+
+    fn find(&mut self, vpage: PageNum) -> Option<&mut RefEntry> {
+        self.set(vpage)
+            .iter_mut()
+            .find(|e| e.valid && e.vpage == vpage)
+    }
+
+    fn lookup(&mut self, vpage: PageNum) -> bool {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let hit = self.find(vpage).map(|e| e.last_use = stamp).is_some();
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    fn insert(&mut self, vpage: PageNum) -> Option<PageNum> {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        if let Some(e) = self.find(vpage) {
+            e.last_use = stamp;
+            return None;
+        }
+        let fill = RefEntry {
+            valid: true,
+            vpage,
+            last_use: stamp,
+        };
+        let set = self.set(vpage);
+        if let Some(e) = set.iter_mut().find(|e| !e.valid) {
+            *e = fill;
+            return None;
+        }
+        let victim = set.iter_mut().min_by_key(|e| e.last_use).unwrap();
+        Some(std::mem::replace(victim, fill).vpage)
+    }
+
+    fn invalidate(&mut self, vpage: PageNum) -> bool {
+        self.find(vpage).map(|e| e.valid = false).is_some()
+    }
+
+    fn state_bytes(&self) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        self.entries.len().put(&mut w);
+        for e in &self.entries {
+            e.valid.put(&mut w);
+            e.vpage.put(&mut w);
+            e.last_use.put(&mut w);
+        }
+        self.stamp.put(&mut w);
+        self.hits.put(&mut w);
+        self.misses.put(&mut w);
+        w.into_bytes()
+    }
+}
+
 proptest! {
+    /// The packed TLB against three-field entries: the same hits,
+    /// evictions and counters, and the same checkpoint bytes after every
+    /// operation. A fresh TLB restored partway through continues
+    /// identically. Page numbers reach bit 56, the highest one a
+    /// 128 B page, the smallest `GpuConfig::validate` admits, can set.
+    #[test]
+    fn tlb_against_reference(
+        ops in proptest::collection::vec((0u8..10, 0u64..40), 1..300),
+        sets in 1usize..6,
+        ways in 1usize..6,
+        high in prop_oneof![Just(0u64), Just(1u64 << 56)],
+        resume_at in 0usize..300,
+    ) {
+        let mut tlb = Tlb::new(sets * ways, ways);
+        let mut reference = RefTlb {
+            ways,
+            entries: vec![RefEntry::default(); sets * ways],
+            stamp: 0,
+            hits: 0,
+            misses: 0,
+        };
+        for (step, (op, page)) in ops.into_iter().enumerate() {
+            let vpage = PageNum(high | page);
+            if step == resume_at {
+                let mut w = StateWriter::new();
+                tlb.save(&mut w);
+                tlb = Tlb::new(sets * ways, ways);
+                tlb.restore(&mut StateReader::new(w.bytes())).expect("own section restores");
+            }
+            match op {
+                0..=3 => prop_assert_eq!(tlb.lookup(vpage), reference.lookup(vpage)),
+                4..=7 => prop_assert_eq!(tlb.insert(vpage), reference.insert(vpage)),
+                8 => prop_assert_eq!(tlb.invalidate(vpage), reference.invalidate(vpage)),
+                _ => {
+                    tlb.flush();
+                    reference.entries.iter_mut().for_each(|e| e.valid = false);
+                }
+            }
+            prop_assert_eq!((tlb.hits(), tlb.misses()), (reference.hits, reference.misses));
+            let mut w = StateWriter::new();
+            tlb.save(&mut w);
+            prop_assert_eq!(w.into_bytes(), reference.state_bytes());
+        }
+    }
+
     #[test]
     fn every_pending_request_completes_once(
         reqs in proptest::collection::vec((0usize..8, 0u64..40, any::<bool>()), 1..100),
