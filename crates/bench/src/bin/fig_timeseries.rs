@@ -115,7 +115,6 @@ fn main() {
             println!("{:<8} quarantined: {err}", r.label);
             continue;
         }
-        let port_bw = cfg.noc_total_bytes_per_cycle;
         println!(
             "{} — replies/cycle per {window}-cycle window (dominant bottleneck at right):",
             r.label
@@ -127,7 +126,7 @@ fn main() {
             .fold(0.0_f64, f64::max)
             .max(1e-9);
         for w in &r.windows {
-            let mix = w.bottleneck_mix(port_bw);
+            let mix = w.bottleneck_mix(cfg);
             let (dom, share) = mix.dominant();
             let marker = if w.start_cycle < fault_end && w.end_cycle > fault_start {
                 "!"

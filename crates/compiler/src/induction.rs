@@ -156,13 +156,6 @@ pub struct InductionSummary {
     pub irreducible: bool,
 }
 
-impl InductionSummary {
-    /// The loop (by header) whose body contains instruction `idx`.
-    pub fn loop_of_instr(&self, cfg: &Cfg, idx: usize) -> Option<&NaturalLoop> {
-        self.loops.iter().find(|l| l.contains_instr(cfg, idx))
-    }
-}
-
 /// Find the natural loops of `cfg`. Returns `(loops, irreducible)`.
 pub fn natural_loops(cfg: &Cfg) -> (Vec<NaturalLoop>, bool) {
     let dom = dominators(cfg);

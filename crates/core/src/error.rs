@@ -126,6 +126,7 @@ impl fmt::Display for DeadlockReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::WindowCounter;
 
     fn report() -> DeadlockReport {
         DeadlockReport {
@@ -142,11 +143,14 @@ mod tests {
             noc_reply_in_flight: 0,
             local_link_pending: 6,
             detail: "outstanding=10".to_string(),
-            windows: vec![TelemetryWindow {
-                start_cycle: 29_000,
-                end_cycle: 29_500,
-                stall_downstream: 7,
-                ..TelemetryWindow::default()
+            windows: vec![{
+                let mut w = TelemetryWindow {
+                    start_cycle: 29_000,
+                    end_cycle: 29_500,
+                    ..TelemetryWindow::default()
+                };
+                w[WindowCounter::StallDownstream] = 7;
+                w
             }],
         }
     }

@@ -21,9 +21,9 @@ use crate::energy::{energy_report, EnergyCounters, EnergyParams};
 use crate::error::{DeadlockReport, SimError};
 use crate::llc::{LlcSlice, MemTask, Role, SliceParams};
 use crate::mdr::paper_slice_bandwidths;
-use crate::metrics::SimReport;
+use crate::metrics::{noc_serialization_cycles, SimReport};
 use crate::sm::{Sm, SmParams, StallReason};
-use crate::telemetry::{Telemetry, WindowGauges, WindowTotals};
+use crate::telemetry::{Telemetry, WindowCounter, NUM_WINDOW_COUNTERS};
 
 /// A packet crossing an MCM inter-module gateway.
 #[derive(Debug, Clone, Copy)]
@@ -820,65 +820,76 @@ impl GpuSimulator {
         self.check_forward_progress()
     }
 
-    /// Snapshot the cumulative machine counters and high-water gauges,
+    /// Snapshot the cumulative machine counters and flush-edge gauges,
     /// then hand them to the sampler to diff into a window. Reads and
     /// re-arms component peaks; allocates nothing.
     fn flush_telemetry_window(&mut self, end_cycle: u64) {
-        let mut t = WindowTotals::default();
+        use WindowCounter::*;
+        let mut c = [0u64; NUM_WINDOW_COUNTERS];
+        let mut add = |pairs: &[(WindowCounter, u64)]| {
+            for &(k, v) in pairs {
+                c[k as usize] += v;
+            }
+        };
         for sm in &self.sms {
-            t.issued_requests += sm.stats.issued_requests;
-            t.retired_ops += sm.stats.completed_ops;
-            t.read_replies += sm.stats.read_replies;
-            t.l1_accesses += sm.stats.l1_accesses;
-            t.l1_hits += sm.stats.l1_hits;
-            t.stall_downstream += sm.stats.stall_downstream;
-            t.stall_mshr += sm.stats.stall_mshr;
-            t.stall_outstanding += sm.stats.stall_outstanding;
+            let s = &sm.stats;
+            add(&[
+                (Issued, s.issued_requests),
+                (Retired, s.completed_ops),
+                (Replies, s.read_replies),
+                (L1Accesses, s.l1_accesses),
+                (L1Hits, s.l1_hits),
+                (StallDownstream, s.stall_downstream),
+                (StallMshr, s.stall_mshr),
+                (StallOutstanding, s.stall_outstanding),
+            ]);
         }
         for s in &self.slices {
-            t.llc_accesses += s.stats.accesses;
-            t.llc_hits += s.stats.hits;
+            let (lmr, rmr) = s.queue_depths();
+            add(&[
+                (LlcAccesses, s.stats.accesses),
+                (LlcHits, s.stats.hits),
+                (LmrQueued, lmr as u64),
+                (RmrQueued, rmr as u64),
+            ]);
         }
         for m in &self.mcs {
             let st = m.mc.stats();
-            t.dram_row_hits += st.row_hits;
-            t.dram_row_accesses += st.row_accesses();
-            t.dram_bus_busy += st.bus_busy_cycles;
+            add(&[
+                (DramRowHits, st.row_hits),
+                (DramRowAccesses, st.row_accesses()),
+                (DramBusBusy, st.bus_busy_cycles),
+            ]);
         }
-        t.noc_bytes = self.req_noc.stats().bytes + self.reply_noc.stats().bytes;
-        if let Some(links) = &self.local_req {
-            for l in links.iter() {
-                t.local_link_bytes += l.bytes_transferred();
-                t.local_link_busy += l.busy_cycles();
-                t.local_link_rejects += l.rejects();
-            }
+        add(&[
+            (NocBytes, self.req_noc.stats().bytes),
+            (NocBytes, self.reply_noc.stats().bytes),
+            (TlbWalks, self.mmu.stats().walks),
+        ]);
+        fn link<T: Wire>(l: &BandwidthLink<T>) -> [(WindowCounter, u64); 3] {
+            [
+                (LocalLinkBytes, l.bytes_transferred()),
+                (LocalLinkBusy, l.busy_cycles()),
+                (LocalLinkRejects, l.rejects()),
+            ]
         }
-        if let Some(links) = &self.local_reply {
-            for l in links.iter() {
-                t.local_link_bytes += l.bytes_transferred();
-                t.local_link_busy += l.busy_cycles();
-                t.local_link_rejects += l.rejects();
-            }
+        for l in self.local_req.iter().flatten() {
+            add(&link(l));
         }
-        t.tlb_walks = self.mmu.stats().walks;
-
-        let mut g = WindowGauges::default();
+        for l in self.local_reply.iter().flatten() {
+            add(&link(l));
+        }
+        let mut peak = |k: WindowCounter, v: u64| c[k as usize] = c[k as usize].max(v);
         for s in &mut self.slices {
-            let (lmr, rmr) = s.queue_depths();
-            g.lmr_queued += lmr as u64;
-            g.rmr_queued += rmr as u64;
-            g.slice_mshr_peak = g.slice_mshr_peak.max(s.take_mshr_high_water() as u64);
+            peak(SliceMshrPeak, s.take_mshr_high_water() as u64);
         }
         for sm in &mut self.sms {
-            g.sm_mshr_peak = g.sm_mshr_peak.max(sm.take_l1_mshr_peak() as u64);
+            peak(SmMshrPeak, sm.take_l1_mshr_peak() as u64);
         }
-        g.noc_peak_in_flight = self
-            .req_noc
-            .take_peak_in_flight()
-            .max(self.reply_noc.take_peak_in_flight());
-        g.tlb_peak_outstanding = self.mmu.take_peak_outstanding() as u64;
-
-        self.telemetry.flush_window(end_cycle, t, g);
+        peak(NocPeakInFlight, self.req_noc.take_peak_in_flight());
+        peak(NocPeakInFlight, self.reply_noc.take_peak_in_flight());
+        peak(TlbPeakOutstanding, self.mmu.take_peak_outstanding() as u64);
+        self.telemetry.flush_window(end_cycle, &c);
     }
 
     /// The telemetry sampler (windows and lifecycle trace records).
@@ -1550,30 +1561,6 @@ impl GpuSimulator {
         t
     }
 
-    /// Per-resource utilization snapshot (fractions of capacity).
-    pub fn utilization(&self) -> String {
-        let cyc = self.cycle.max(1);
-        let mem_cyc = (cyc / self.cfg.dram_clock_divider).max(1);
-        let dram_busy: u64 = self.mcs.iter().map(|m| m.mc.stats().bus_busy_cycles).sum();
-        let dram_util = dram_busy as f64 / (mem_cyc * self.mcs.len() as u64) as f64;
-        let req_util =
-            self.req_noc.stats().bytes as f64 / (self.cfg.noc_total_bytes_per_cycle * cyc as f64);
-        let rep_util =
-            self.reply_noc.stats().bytes as f64 / (self.cfg.noc_total_bytes_per_cycle * cyc as f64);
-        let mut local_util = 0.0;
-        if let Some(links) = &self.local_reply {
-            let bytes: u64 = links.iter().map(BandwidthLink::bytes_transferred).sum();
-            local_util = bytes as f64
-                / (self.cfg.local_link_bytes_per_cycle as f64 * cyc as f64 * links.len() as f64);
-        }
-        let grants: u64 = self.slices.iter().map(|s| s.stats.accesses).sum();
-        let grant_util = grants as f64 / (cyc * self.slices.len() as u64) as f64;
-        format!(
-            "dram={dram_util:.2} req_noc={req_util:.2} reply_noc={rep_util:.2} \
-             local_reply={local_util:.2} slice_grants={grant_util:.2}"
-        )
-    }
-
     /// Build the report for everything simulated so far.
     pub fn report(&self) -> SimReport {
         let mut counters = EnergyCounters::default();
@@ -1659,15 +1646,8 @@ impl GpuSimulator {
         };
 
         // Bytes that crossed the crossbars proper (not gateways or
-        // migration copies), expressed as serialization cycles at the
-        // aggregate NoC bandwidth — commensurable with the other
-        // bottleneck weights.
+        // migration copies).
         let xbar_bytes = self.req_noc.stats().bytes + self.reply_noc.stats().bytes;
-        let noc_serialization_cycles = if self.cfg.noc_total_bytes_per_cycle > 0.0 {
-            xbar_bytes as f64 / self.cfg.noc_total_bytes_per_cycle
-        } else {
-            0.0
-        };
         let dram_bus_busy_cycles: u64 = self.mcs.iter().map(|m| m.mc.stats().bus_busy_cycles).sum();
 
         let energy = energy_report(&self.energy_params, &counters, &self.noc_power, self.cycle);
@@ -1696,7 +1676,7 @@ impl GpuSimulator {
             stall_mshr,
             stall_outstanding,
             local_link_busy_cycles,
-            noc_serialization_cycles,
+            noc_serialization_cycles: noc_serialization_cycles(&self.cfg, xbar_bytes),
             dram_bus_busy_cycles,
             energy,
             latency: crate::metrics::LatencyReport {
@@ -1781,52 +1761,22 @@ impl GpuSimulator {
         save_items(w, &self.sms);
         save_items(w, &self.slices);
         save_items(w, &self.mcs);
-        match &self.local_req {
-            Some(links) => {
-                w.put_u8(1);
-                save_items(w, links);
-            }
-            None => w.put_u8(0),
-        }
-        match &self.local_reply {
-            Some(links) => {
-                w.put_u8(1);
-                save_items(w, links);
-            }
-            None => w.put_u8(0),
-        }
-        self.inbound_reply_hold.len().put(w);
-        for q in &self.inbound_reply_hold {
-            q.put(w);
-        }
+        save_optional(w, self.local_req.as_deref(), save_items);
+        save_optional(w, self.local_reply.as_deref(), save_items);
+        self.inbound_reply_hold.put(w);
         self.req_noc.save(w);
         self.reply_noc.save(w);
-        match &self.half_links {
-            Some(links) => {
-                w.put_u8(1);
-                links[0].save(w);
-                links[1].save(w);
-            }
-            None => w.put_u8(0),
-        }
+        // The cross-half pair is fixed-size: two links, no length prefix.
+        save_optional(w, self.half_links.as_ref(), |w, [a, b]| {
+            a.save(w);
+            b.save(w);
+        });
         self.half_hold.put(w);
         save_items(w, &self.gw_req);
         save_items(w, &self.gw_reply);
-        self.gw_req_hold.len().put(w);
-        for q in &self.gw_req_hold {
-            q.put(w);
-        }
-        self.gw_reply_hold.len().put(w);
-        for q in &self.gw_reply_hold {
-            q.put(w);
-        }
-        match &self.tracker {
-            Some(t) => {
-                w.put_u8(1);
-                t.save(w);
-            }
-            None => w.put_u8(0),
-        }
+        self.gw_req_hold.put(w);
+        self.gw_reply_hold.put(w);
+        save_optional(w, self.tracker.as_ref(), |w, t| t.save(w));
         self.faults.put(w);
         self.watchdog_budget.put(w);
         self.last_progress_cycle.put(w);
@@ -1850,67 +1800,41 @@ impl GpuSimulator {
         restore_items(r, "SM array", &mut self.sms)?;
         restore_items(r, "LLC slice array", &mut self.slices)?;
         restore_items(r, "memory controller array", &mut self.mcs)?;
-        match (self.local_req.as_mut(), r.get_u8()?) {
-            (Some(links), 1) => restore_items(r, "local request links", links)?,
-            (None, 0) => {}
-            _ => return Err(StateError::Corrupt("local request link presence mismatch")),
-        }
-        match (self.local_reply.as_mut(), r.get_u8()?) {
-            (Some(links), 1) => restore_items(r, "local reply links", links)?,
-            (None, 0) => {}
-            _ => return Err(StateError::Corrupt("local reply link presence mismatch")),
-        }
-        let holds = usize::get(r)?;
-        if holds != self.inbound_reply_hold.len() {
-            return Err(StateError::LengthMismatch {
-                what: "inbound reply holds",
-                expected: self.inbound_reply_hold.len(),
-                found: holds,
-            });
-        }
-        for q in &mut self.inbound_reply_hold {
-            restore_deque(r, q)?;
-        }
+        restore_optional(
+            r,
+            "local request link presence mismatch",
+            self.local_req.as_deref_mut(),
+            |r, links| restore_items(r, "local request links", links),
+        )?;
+        restore_optional(
+            r,
+            "local reply link presence mismatch",
+            self.local_reply.as_deref_mut(),
+            |r, links| restore_items(r, "local reply links", links),
+        )?;
+        restore_deques(r, "inbound reply holds", &mut self.inbound_reply_hold)?;
         self.req_noc.restore(r)?;
         self.reply_noc.restore(r)?;
-        match (self.half_links.as_mut(), r.get_u8()?) {
-            (Some(links), 1) => {
-                links[0].restore(r)?;
-                links[1].restore(r)?;
-            }
-            (None, 0) => {}
-            _ => return Err(StateError::Corrupt("cross-half link presence mismatch")),
-        }
+        restore_optional(
+            r,
+            "cross-half link presence mismatch",
+            self.half_links.as_mut(),
+            |r, [a, b]| {
+                a.restore(r)?;
+                b.restore(r)
+            },
+        )?;
         restore_vec(r, &mut self.half_hold)?;
         restore_items(r, "gateway request links", &mut self.gw_req)?;
         restore_items(r, "gateway reply links", &mut self.gw_reply)?;
-        let holds = usize::get(r)?;
-        if holds != self.gw_req_hold.len() {
-            return Err(StateError::LengthMismatch {
-                what: "gateway request holds",
-                expected: self.gw_req_hold.len(),
-                found: holds,
-            });
-        }
-        for q in &mut self.gw_req_hold {
-            restore_deque(r, q)?;
-        }
-        let holds = usize::get(r)?;
-        if holds != self.gw_reply_hold.len() {
-            return Err(StateError::LengthMismatch {
-                what: "gateway reply holds",
-                expected: self.gw_reply_hold.len(),
-                found: holds,
-            });
-        }
-        for q in &mut self.gw_reply_hold {
-            restore_deque(r, q)?;
-        }
-        match (self.tracker.as_mut(), r.get_u8()?) {
-            (Some(t), 1) => t.restore(r)?,
-            (None, 0) => {}
-            _ => return Err(StateError::Corrupt("page access tracker presence mismatch")),
-        }
+        restore_deques(r, "gateway request holds", &mut self.gw_req_hold)?;
+        restore_deques(r, "gateway reply holds", &mut self.gw_reply_hold)?;
+        restore_optional(
+            r,
+            "page access tracker presence mismatch",
+            self.tracker.as_mut(),
+            |r, t| t.restore(r),
+        )?;
         self.faults = Option::get(r)?;
         self.watchdog_budget = Option::get(r)?;
         self.last_progress_cycle = u64::get(r)?;
@@ -1927,6 +1851,6 @@ impl GpuSimulator {
 }
 
 use nuba_types::state::{
-    restore_deque, restore_items, restore_map, restore_vec, save_items, save_map, SaveState,
-    StateError, StateReader, StateValue, StateWriter,
+    restore_deques, restore_items, restore_map, restore_optional, restore_vec, save_items,
+    save_map, save_optional, SaveState, StateError, StateReader, StateValue, StateWriter,
 };

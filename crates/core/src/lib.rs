@@ -60,8 +60,8 @@ pub use metrics::{BottleneckBreakdown, LatencyReport, SimReport};
 pub use session::{default_warm_accesses, first_touches, Checkpoint, SessionBuilder, SimSession};
 pub use sm::{Sm, SmParams, SmStats, StallReason};
 pub use telemetry::{
-    Telemetry, TelemetryWindow, TraceRecord, WindowGauges, WindowTotals, NUM_STAGES, NUM_TIERS,
-    STAGE_NAMES, TIER_NAMES,
+    Telemetry, TelemetryWindow, TraceRecord, WindowCounter, NUM_STAGES, NUM_TIERS,
+    NUM_WINDOW_COUNTERS, STAGE_NAMES, TIER_NAMES,
 };
 
 // Re-exports for downstream convenience (bench harness, examples).

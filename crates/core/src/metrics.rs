@@ -1,6 +1,6 @@
 //! Simulation reports: the metrics the paper's figures are built from.
 
-use nuba_types::{Histogram, LatencySummary};
+use nuba_types::{GpuConfig, Histogram, LatencySummary};
 
 use crate::energy::EnergyReport;
 use crate::telemetry::{NUM_STAGES, NUM_TIERS, STAGE_NAMES, TIER_NAMES};
@@ -139,6 +139,18 @@ pub struct SimReport {
     pub energy: EnergyReport,
     /// Read-latency distributions (per bandwidth tier and per stage).
     pub latency: LatencyReport,
+}
+
+/// Crossbar bytes expressed as serialization cycles at the aggregate
+/// NoC bandwidth (`cfg.noc_total_bytes_per_cycle`), commensurable with
+/// the other bottleneck weights; 0 when the configuration has no NoC
+/// bandwidth.
+pub(crate) fn noc_serialization_cycles(cfg: &GpuConfig, xbar_bytes: u64) -> f64 {
+    if cfg.noc_total_bytes_per_cycle > 0.0 {
+        xbar_bytes as f64 / cfg.noc_total_bytes_per_cycle
+    } else {
+        0.0
+    }
 }
 
 /// Top-down cycle-accounting shares from `SimReport::bottleneck_breakdown`

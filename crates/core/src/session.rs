@@ -100,11 +100,6 @@ impl Checkpoint {
         &self.config
     }
 
-    /// Invariant-registry counters captured at snapshot time.
-    pub fn invariant_seeds(&self) -> &[SiteSeed] {
-        &self.invariants
-    }
-
     /// Re-seed the process-global invariant registry with the counters
     /// captured at snapshot time, so a resumed run's final invariant
     /// snapshot matches the uninterrupted run's.

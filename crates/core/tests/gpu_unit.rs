@@ -1,8 +1,8 @@
 //! Targeted GPU-simulator unit tests on tiny machines: kernel-boundary
 //! flushes, latency accounting, and report consistency.
 
-use nuba_core::{GpuSimulator, SimSession};
-use nuba_types::{ArchKind, GpuConfig, ReplicationKind};
+use nuba_core::{GpuSimulator, SimSession, WindowCounter};
+use nuba_types::{ArchKind, GpuConfig, ReplicationKind, TelemetryConfig};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
 
 fn tiny(arch: ArchKind) -> GpuConfig {
@@ -39,6 +39,39 @@ fn kernel_boundaries_cost_performance() {
     );
     // The flush produces cold misses: LLC hit rate drops.
     assert!(r_flush.llc_hit_rate() < r_base.llc_hit_rate());
+}
+
+#[test]
+fn a_window_spanning_the_run_agrees_with_the_report() {
+    use WindowCounter::*;
+    const N: u64 = 6_000;
+    let mut cfg = tiny(ArchKind::Nuba).with_telemetry(TelemetryConfig {
+        window_cycles: Some(N),
+        ring_windows: 1,
+        ..TelemetryConfig::default()
+    });
+    // Enough warps, and L1 MSHRs, that the run stalls on the memory
+    // system rather than on the L1 alone, so the NoC share is non-zero.
+    cfg.sim_active_warps = 32;
+    cfg.l1_mshrs = 1024;
+    let (session, r) = run(cfg.clone(), BenchmarkId::Bicg, N);
+    let windows = session.gpu().telemetry().windows_vec();
+    assert_eq!(windows.len(), 1);
+    let w = windows[0];
+    assert_eq!((w.start_cycle, w.end_cycle), (0, N));
+    assert_eq!(w[Retired], r.warp_ops);
+    assert_eq!(
+        [w[StallDownstream], w[StallMshr], w[StallOutstanding]],
+        [r.stall_downstream, r.stall_mshr, r.stall_outstanding]
+    );
+    assert_eq!(w[LlcAccesses], r.llc_accesses);
+    assert_eq!(w[LocalLinkBusy], r.local_link_busy_cycles);
+    assert_eq!(w[DramBusBusy], r.dram_bus_busy_cycles);
+    // The window's NoC weight divides by the same aggregate bandwidth
+    // as the report's, so the two mixes agree to the bit.
+    let mix = w.bottleneck_mix(&cfg);
+    assert!(mix.noc_bound > 0.0, "no NoC share to compare: {mix:?}");
+    assert_eq!(mix, r.bottleneck_breakdown());
 }
 
 #[test]

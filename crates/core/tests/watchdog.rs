@@ -2,7 +2,7 @@
 //! configurations, and it fires deterministically — with a populated
 //! [`DeadlockReport`] — when a fault genuinely starves the machine.
 
-use nuba_core::{SimError, SimSession};
+use nuba_core::{SimError, SimSession, WindowCounter};
 use nuba_engine::{Fault, FaultPlan};
 use nuba_types::{ArchKind, GpuConfig, PagePolicyKind, ReplicationKind};
 use nuba_workloads::{BenchmarkId, ScaleProfile, Workload};
@@ -148,7 +148,9 @@ fn deadlock_report_embeds_a_bounded_flight_recorder() {
         "a later fire retains later windows"
     );
     assert!(
-        long.windows.iter().any(|w| w.stall_downstream > 0),
+        long.windows
+            .iter()
+            .any(|w| w[WindowCounter::StallDownstream] > 0),
         "the starved machine's stalls are visible in the recorder: {:?}",
         long.windows
     );

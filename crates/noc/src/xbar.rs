@@ -158,11 +158,6 @@ impl<T: Wire> CrossbarNoc<T> {
         }
     }
 
-    /// Number of injection ports.
-    pub fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
     /// Number of ejection ports.
     pub fn num_outputs(&self) -> usize {
         self.outputs.len()

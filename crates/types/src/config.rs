@@ -496,22 +496,6 @@ impl GpuConfig {
         self
     }
 
-    /// Enable per-window read-latency percentiles (builder style);
-    /// requires windowed telemetry to be on.
-    #[must_use]
-    pub fn with_window_latency(mut self) -> GpuConfig {
-        self.telemetry.window_latency = true;
-        self
-    }
-
-    /// Set the forward-progress watchdog budget (builder style);
-    /// `None` disables the watchdog.
-    #[must_use]
-    pub fn with_watchdog(mut self, cycles: Option<u64>) -> GpuConfig {
-        self.watchdog_cycles = cycles;
-        self
-    }
-
     /// Set the LLC data-replication policy (builder style).
     #[must_use]
     pub fn with_replication(mut self, replication: ReplicationKind) -> GpuConfig {

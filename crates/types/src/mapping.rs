@@ -185,11 +185,6 @@ impl AddressMapping {
         self.decode(pa).home_slice
     }
 
-    /// The home channel for a physical address.
-    pub fn home_channel(&self, pa: PhysAddr) -> ChannelId {
-        self.decode(pa).channel
-    }
-
     /// Number of distinct cache lines per DRAM row.
     pub fn lines_per_row(&self) -> u64 {
         self.row_bytes / LINE_BYTES

@@ -187,11 +187,6 @@ impl WorkloadLayout {
         &self.sets[sm]
     }
 
-    /// Number of SMs this layout was built for.
-    pub fn num_sets_hint(&self) -> usize {
-        self.sets.len()
-    }
-
     /// First private vpage of `sm`.
     pub fn private_start(&self, sm: usize) -> u64 {
         self.private_base + sm as u64 * self.private_pages_per_sm

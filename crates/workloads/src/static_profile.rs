@@ -88,15 +88,6 @@ impl PredictedRegions {
         }
     }
 
-    /// Pages of one region.
-    pub fn region_pages(&self, region: Region, num_sms: usize) -> u64 {
-        match region {
-            Region::SharedRo => self.ro_pages,
-            Region::SharedRw => self.rw_shared_pages,
-            Region::Private => self.private_pages_per_sm * num_sms as u64,
-        }
-    }
-
     /// Predicted fraction of single-SM (private) pages — Fig. 3's first
     /// bar, which decides the sharing class.
     pub fn private_fraction(&self, num_sms: usize) -> f64 {
