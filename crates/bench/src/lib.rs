@@ -23,7 +23,6 @@
 pub mod figures;
 pub mod obs;
 pub mod runner;
-pub mod screen;
 pub mod store;
 
 use std::sync::OnceLock;
@@ -62,11 +61,6 @@ pub struct HarnessOptions {
     /// `NUBA_SIMCHECK_CYCLES`: cycles per simcheck configuration
     /// (default 8192).
     pub simcheck_cycles: u64,
-    /// `NUBA_SCREEN=1`: print the advisory static screen (static
-    /// kernel profiler predictions) for each matrix's benchmarks before
-    /// the runner executes it. Inert — and byte-identical output — when
-    /// off.
-    pub screen: bool,
     /// `NUBA_STORE_DIR=<path>`: directory of on-disk first-touch
     /// traces (see [`store`]). Unset keeps them in memory only, with
     /// byte-identical results.
@@ -78,19 +72,16 @@ pub struct HarnessOptions {
 }
 
 /// Every `NUBA_*` variable something in the workspace reads: the
-/// [`HarnessOptions`] knobs and `NUBA_CORRELATION` (read by
-/// `fig_correlation`). No simulator crate reads the environment. Any
-/// other `NUBA_*` variable in the environment draws a warning.
-const KNOWN: [&str; 12] = [
+/// [`HarnessOptions`] knobs. No simulator crate reads the environment.
+/// Any other `NUBA_*` variable in the environment draws a warning.
+const KNOWN: [&str; 10] = [
     "NUBA_CHAOS",
-    "NUBA_CORRELATION",
     "NUBA_CYCLES",
     "NUBA_FAST",
     "NUBA_FULL",
     "NUBA_JOBS",
     "NUBA_OBS",
     "NUBA_PAE",
-    "NUBA_SCREEN",
     "NUBA_SIMCHECK_CYCLES",
     "NUBA_STORE_DIR",
     "NUBA_STRICT_FAULTS",
@@ -142,7 +133,6 @@ impl HarnessOptions {
             chaos: flag("NUBA_CHAOS"),
             pae: flag("NUBA_PAE"),
             simcheck_cycles: number(&var, "NUBA_SIMCHECK_CYCLES")?.unwrap_or(8192),
-            screen: flag("NUBA_SCREEN"),
             store_dir: var("NUBA_STORE_DIR"),
             obs: var("NUBA_OBS"),
         })
@@ -444,8 +434,7 @@ mod tests {
     }
 
     /// Parse from a fixed variable list instead of the environment, and
-    /// check that `parse` reads exactly the [`KNOWN`] names other than
-    /// `NUBA_CORRELATION` (which only `fig_correlation` reads).
+    /// check that `parse` reads exactly the [`KNOWN`] names.
     fn parse_vars(vars: &[(&str, &str)]) -> Result<HarnessOptions, String> {
         let read = std::cell::RefCell::new(std::collections::BTreeSet::new());
         let parsed = HarnessOptions::parse(|name| {
@@ -455,9 +444,8 @@ mod tests {
                 .map(|(_, v)| v.to_string())
         });
         if parsed.is_ok() {
-            let known = KNOWN.iter().filter(|&&k| k != "NUBA_CORRELATION");
             assert!(
-                read.into_inner().iter().eq(known),
+                read.into_inner().iter().eq(KNOWN.iter()),
                 "parse and KNOWN disagree"
             );
         }
@@ -490,16 +478,19 @@ mod tests {
             "NUBA_NO_SKIP",
             "NUBA_CYCLE",
             "NUBA_CORRELATION",
+            "NUBA_SCREEN",
             "NUBA_TIMESERIES",
             "NUBA_MATRIX_TRACE",
         ];
         assert_eq!(
             unknown_knobs(vars),
             [
+                "NUBA_CORRELATION",
                 "NUBA_CYCLE",
                 "NUBA_FIDELITY",
                 "NUBA_MATRIX_TRACE",
                 "NUBA_NO_SKIP",
+                "NUBA_SCREEN",
                 "NUBA_TIMESERIES"
             ]
         );

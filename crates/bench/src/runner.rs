@@ -578,10 +578,6 @@ pub fn run_matrix_ctx_with(
     jobs: &[Job],
     threads: usize,
 ) -> Vec<JobResult> {
-    // Advisory stage: the static analytical screen, opt-in via
-    // `NUBA_SCREEN=1` and guaranteed inert (not a byte of output, no
-    // simulation effect) otherwise.
-    crate::screen::print_screen_if_enabled(h, jobs);
     let matrix_start = Instant::now();
     run_jobs(jobs.len(), threads, |i| {
         run_job(ctx, h, &jobs[i], matrix_start)
@@ -669,16 +665,22 @@ impl RunnerRecord {
 
 /// Write (or merge into) `path` the throughput record of this run.
 ///
-/// The file keeps one record per distinct `nuba_jobs` value, so running
-/// `all_experiments` at `NUBA_JOBS=1` and again at `NUBA_JOBS=4` leaves
-/// both records side by side plus the parallel speedup versus the
-/// serial record — the perf-trajectory evidence the roadmap asks for.
+/// The file keeps one record per distinct `nuba_jobs` value of one
+/// matrix, so running `all_experiments` at `NUBA_JOBS=1` and again at
+/// `NUBA_JOBS=4` leaves both records side by side plus the parallel
+/// speedup versus the serial record. An old record of a different
+/// matrix (other `jobs` or `total_cycles`) is dropped: a wall-clock
+/// ratio across two matrices measures nothing.
 pub fn write_runner_json(path: &str, record: RunnerRecord) -> std::io::Result<()> {
     let mut records: Vec<RunnerRecord> = std::fs::read_to_string(path)
         .map(|old| {
             old.lines()
                 .filter_map(RunnerRecord::parse_json_line)
-                .filter(|r| r.nuba_jobs != record.nuba_jobs)
+                .filter(|r| {
+                    r.nuba_jobs != record.nuba_jobs
+                        && r.stats.jobs == record.stats.jobs
+                        && r.stats.total_cycles == record.stats.total_cycles
+                })
                 .collect()
         })
         .unwrap_or_default();
@@ -855,26 +857,33 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_runner.json");
         let path = path.to_str().unwrap();
-        let mk = |jobs: usize, wall: f64| RunnerRecord {
+        let mk = |jobs: usize, wall: f64, matrix_jobs: usize| RunnerRecord {
             nuba_jobs: jobs,
             wall_seconds: wall,
             stats: MatrixStats {
-                jobs: 3,
+                jobs: matrix_jobs,
                 cpu_seconds: wall,
-                total_cycles: 1000,
+                total_cycles: 1000 * matrix_jobs as u64,
                 quarantined: 0,
             },
         };
-        write_runner_json(path, mk(1, 10.0)).unwrap();
-        write_runner_json(path, mk(4, 4.0)).unwrap();
+        write_runner_json(path, mk(1, 10.0, 3)).unwrap();
+        write_runner_json(path, mk(4, 4.0, 3)).unwrap();
         // Re-running at the same width replaces, not duplicates.
-        write_runner_json(path, mk(4, 3.0)).unwrap();
+        write_runner_json(path, mk(4, 3.0, 3)).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
         assert_eq!(text.matches("\"nuba_jobs\": 4").count(), 1, "{text}");
         assert!(
             text.contains("\"parallel_speedup_vs_serial\": 3.33"),
             "{text}"
         );
+        // A record of a different matrix replaces both, and no speedup
+        // is computed across matrices.
+        write_runner_json(path, mk(2, 2.0, 5)).unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        assert_eq!(text.matches("\"nuba_jobs\"").count(), 1, "{text}");
+        assert!(text.contains("\"nuba_jobs\": 2, \"jobs\": 5"), "{text}");
+        assert!(!text.contains("parallel_speedup_vs_serial"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -67,7 +67,6 @@ pub mod induction;
 pub mod interp;
 pub mod parse;
 pub mod profile;
-pub mod race;
 pub mod replication_safety;
 pub mod rewrite;
 
@@ -86,6 +85,5 @@ pub use profile::{
     profile_kernel, Footprint, KernelStaticProfile, ParamMode, ParamProfile, ProfileAssumptions,
     TierDemand,
 };
-pub use race::{detect_races, ParamWriteSummary, RaceReport};
 pub use replication_safety::{analyze_kernel_flow, ReplicationSafety};
 pub use rewrite::{rewrite_readonly_loads, rewrite_readonly_loads_precise};

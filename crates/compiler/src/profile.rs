@@ -17,7 +17,7 @@
 //!   dynamic thread/trip counts — the property the bench proptests pin;
 //! - **thread-disjoint writes** — every store lands at
 //!   `|tid-coefficient| ≥ width` with no loop term, so two threads of
-//!   one SM never collide (the warp-race half of [`crate::race`]).
+//!   one SM never collide.
 //!
 //! The per-kernel [`TierDemand`] weights each access by the product of
 //! enclosing loop trip counts and reports bytes-per-instruction split

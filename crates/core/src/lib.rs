@@ -52,10 +52,7 @@ pub use energy::{energy_report, EnergyCounters, EnergyParams, EnergyReport};
 pub use error::{DeadlockReport, SimError};
 pub use gpu::GpuSimulator;
 pub use llc::{LlcSlice, MemTask, Role, SliceParams, SliceStats};
-pub use mdr::{
-    evaluate as mdr_evaluate, static_screen as mdr_static_screen, MdrBandwidths, MdrController,
-    MdrEstimate, MdrProfile, ScreenBottleneck, ScreenVerdict,
-};
+pub use mdr::{evaluate as mdr_evaluate, MdrBandwidths, MdrController, MdrEstimate, MdrProfile};
 pub use metrics::{BottleneckBreakdown, LatencyReport, SimReport};
 pub use session::{default_warm_accesses, first_touches, Checkpoint, SessionBuilder, SimSession};
 pub use sm::{Sm, SmParams, SmStats, StallReason};

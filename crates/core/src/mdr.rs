@@ -225,86 +225,6 @@ pub fn paper_slice_bandwidths(noc_port_bytes_per_cycle: f64) -> MdrBandwidths {
     }
 }
 
-/// The coarse resource bound a [`static_screen`] predicts will limit a
-/// kernel's effective bandwidth under the winning policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScreenBottleneck {
-    /// LLC slice bandwidth binds (high hit rate, little spill).
-    Llc,
-    /// The memory channel behind the slice binds.
-    Dram,
-    /// The NoC port to remote slices binds.
-    Noc,
-}
-
-impl ScreenBottleneck {
-    /// Short stable label (used in correlation reports).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ScreenBottleneck::Llc => "LLC",
-            ScreenBottleneck::Dram => "DRAM",
-            ScreenBottleneck::Noc => "NoC",
-        }
-    }
-}
-
-/// The static screen's verdict for one kernel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScreenVerdict {
-    /// The two §5.1 estimates on the static inputs.
-    pub estimate: MdrEstimate,
-    /// Whether the model predicts MDR will choose replication.
-    pub replicate: bool,
-    /// Which resource bounds the winning policy.
-    pub bottleneck: ScreenBottleneck,
-}
-
-/// Static screen: evaluate the §5.1 equations on *statically*
-/// derived profile inputs (from `nuba-workloads`' static kernel
-/// profiler) instead of epoch counters — predicting, before a single
-/// simulated cycle, whether MDR should replicate and which resource
-/// bounds the kernel's bandwidth.
-///
-/// The bottleneck attribution replays which `min(..)` term binds in the
-/// winning policy's equation: the NoC port when remote traffic
-/// dominates and is port-limited, DRAM when the miss stream exceeds the
-/// channel, the LLC slice otherwise. It is deliberately coarse — the
-/// cycle-level simulator's `BottleneckBreakdown` is the ground truth it
-/// is correlated against (`fig_correlation`).
-pub fn static_screen(bw: MdrBandwidths, p: MdrProfile) -> ScreenVerdict {
-    let estimate = evaluate(bw, p);
-    let replicate = estimate.replicate();
-    let frac_remote = 1.0 - p.frac_local;
-    let bottleneck = if replicate {
-        // Full replication: all misses funnel into the local slice.
-        let miss = 1.0 - p.hit_full_rep;
-        let bw_remote_mem = bw.bw_noc.min(bw.bw_mem);
-        let bw_local_remote = p.frac_local * bw.bw_mem + frac_remote * bw_remote_mem;
-        if miss * bw.bw_llc < bw_local_remote {
-            ScreenBottleneck::Llc
-        } else if frac_remote >= 0.5 && bw.bw_noc < bw.bw_mem {
-            ScreenBottleneck::Noc
-        } else {
-            ScreenBottleneck::Dram
-        }
-    } else {
-        let miss = 1.0 - p.hit_no_rep;
-        let local_path = p.hit_no_rep * bw.bw_llc + (miss * bw.bw_llc).min(bw.bw_mem);
-        if frac_remote >= 0.5 && bw.bw_noc < local_path {
-            ScreenBottleneck::Noc
-        } else if miss * bw.bw_llc >= bw.bw_mem {
-            ScreenBottleneck::Dram
-        } else {
-            ScreenBottleneck::Llc
-        }
-    };
-    ScreenVerdict {
-        estimate,
-        replicate,
-        bottleneck,
-    }
-}
-
 /// The compile-time half of MDR (§5.2) feeding the runtime model above:
 /// the params the flow-sensitive replication-safety pass proves
 /// read-only for `kernel`. Loads from these arrays are issued as
@@ -441,52 +361,6 @@ mod tests {
         assert!(!c.replicating());
         assert_eq!(c.epochs_total, 2);
         assert_eq!(c.epochs_replicating, 1);
-    }
-
-    #[test]
-    fn screen_attributes_noc_bound_remote_traffic() {
-        // Remote-heavy, replication thrashes: no-rep wins, NoC binds.
-        let v = static_screen(
-            bw(),
-            MdrProfile {
-                frac_local: 0.2,
-                hit_no_rep: 0.3,
-                hit_full_rep: 0.05,
-            },
-        );
-        assert!(!v.replicate);
-        assert_eq!(v.bottleneck, ScreenBottleneck::Noc);
-    }
-
-    #[test]
-    fn screen_attributes_dram_bound_local_misses() {
-        // Local streaming traffic, low hit rate: DRAM channel binds.
-        let v = static_screen(
-            bw(),
-            MdrProfile {
-                frac_local: 0.95,
-                hit_no_rep: 0.1,
-                hit_full_rep: 0.1,
-            },
-        );
-        assert!(!v.replicate);
-        assert_eq!(v.bottleneck, ScreenBottleneck::Dram);
-    }
-
-    #[test]
-    fn screen_attributes_llc_bound_when_cacheable() {
-        // Replication wins and almost everything hits: LLC slice binds.
-        let v = static_screen(
-            bw(),
-            MdrProfile {
-                frac_local: 0.3,
-                hit_no_rep: 0.8,
-                hit_full_rep: 0.9,
-            },
-        );
-        assert!(v.replicate);
-        assert_eq!(v.bottleneck, ScreenBottleneck::Llc);
-        assert_eq!(v.bottleneck.label(), "LLC");
     }
 
     #[test]

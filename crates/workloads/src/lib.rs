@@ -40,7 +40,6 @@ pub mod layout;
 pub mod profile;
 pub mod scale;
 pub mod spec;
-pub mod static_profile;
 pub mod stream;
 pub mod trace;
 
@@ -50,10 +49,6 @@ pub use layout::{SharedPage, WorkloadLayout};
 pub use profile::{sharing_buckets, SharingProfile};
 pub use scale::ScaleProfile;
 pub use spec::{BenchmarkId, BenchmarkSpec, PatternFamily, SharingClass};
-pub use static_profile::{
-    param_region, static_profiles_all, static_workload_profile, MdrInputs, PredictedRegions,
-    Region, StaticWorkloadProfile,
-};
 pub use stream::{Access, WarpOp, WarpStream};
 pub use trace::Trace;
 

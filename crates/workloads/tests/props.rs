@@ -67,11 +67,19 @@ proptest! {
                 WarpOp::Mem(a) => {
                     prop_assert_eq!(a.vaddr.0 % LINE_BYTES, 0, "line alignment");
                     prop_assert!(a.vaddr.0 < bytes, "address out of footprint");
+                    let vpage = a.vaddr.0 / wl.layout().page_bytes;
                     if a.kind.is_read_only() {
-                        let vpage = a.vaddr.0 / wl.layout().page_bytes;
                         prop_assert!(
                             wl.layout().is_ro_page(vpage),
                             "ld.global.ro outside the read-only region"
+                        );
+                    }
+                    // MDR replicates the read-only region, so nothing
+                    // may write it.
+                    if a.kind.is_write() {
+                        prop_assert!(
+                            !wl.layout().is_ro_page(vpage),
+                            "store or atomic inside the read-only region"
                         );
                     }
                 }
